@@ -554,8 +554,9 @@ func (m *Machine) depart(t int, ep *episode, w *waiter, dep sim.Cycles) {
 			m.stats.Disables++
 		}
 	}
-	if m.opts.BSTDirect && w != nil {
-		// Direct BST strawman learns the observed stall.
+	if m.opts.BSTDirect && w != nil && ep.releaseAt >= w.readyAt {
+		// Direct BST strawman learns the observed stall. A spinner that
+		// became ready only after the release never stalled: no sample.
 		m.bst.Update(ep.pc, t, ep.releaseAt-w.readyAt)
 	}
 

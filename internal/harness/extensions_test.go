@@ -415,3 +415,12 @@ func TestAblationFaults(t *testing.T) {
 			internalTF.Time, hybridTF.Time)
 	}
 }
+
+// TestAblationStragglerNegativeStall is the regression test for the
+// direct-BST strawman at seed 10: a spinner that becomes ready after the
+// release used to feed the predictor a negative stall and panic.
+func TestAblationStragglerNegativeStall(t *testing.T) {
+	if rows := AblationStraggler(core.DefaultArch(), 10); len(rows) == 0 {
+		t.Fatal("straggler ablation at seed 10 produced no rows")
+	}
+}

@@ -144,6 +144,14 @@ type dec struct {
 	err error
 }
 
+// newDec reads payload p's fields after its type byte; empty p is short.
+func newDec(p []byte) *dec {
+	if len(p) == 0 {
+		return &dec{err: io.ErrUnexpectedEOF}
+	}
+	return &dec{b: p[1:]}
+}
+
 func (d *dec) fail() {
 	if d.err == nil {
 		d.err = io.ErrUnexpectedEOF
@@ -256,7 +264,7 @@ func (f *Register) Encode() []byte {
 
 // DecodeRegister parses a FrameRegister payload (type byte included).
 func DecodeRegister(p []byte) (Register, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := Register{
 		ClientID: d.str(),
 		Barrier:  d.str(),
@@ -287,8 +295,9 @@ type Directive struct {
 	// (client, barrier): predicted release minus arrival time. Zero when
 	// the site is still warming up.
 	PredictedStallNanos int64
-	// PollNanos is the re-check cadence for the spin/yield tiers and the
-	// residual poll after a timed park.
+	// PollNanos is the re-check cadence: the client re-sends its
+	// registration, in case the release frame was lost, once eight of
+	// them (and at least 20ms) pass without the release.
 	PollNanos int64
 	// ParkNanos is the timed-park duration: how long the waiter may sleep
 	// outright before re-checking (TierTimedPark), or the advisory
@@ -314,7 +323,7 @@ func (f *Directive) Encode() []byte {
 
 // DecodeDirective parses a FrameDirective payload.
 func DecodeDirective(p []byte) (Directive, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := Directive{
 		Barrier:             d.str(),
 		Epoch:               d.u64(),
@@ -348,7 +357,7 @@ func (f *Heartbeat) Encode() []byte {
 
 // DecodeHeartbeat parses a FrameHeartbeat payload.
 func DecodeHeartbeat(p []byte) (Heartbeat, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := Heartbeat{ClientID: d.str(), Seq: d.u64()}
 	return f, d.done("heartbeat")
 }
@@ -386,7 +395,7 @@ func (f *Release) Encode() []byte {
 
 // DecodeRelease parses a FrameRelease payload.
 func DecodeRelease(p []byte) (Release, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := Release{Barrier: d.str(), Epoch: d.u64(), Gen: d.u64()}
 	f.Broken = d.u8() != 0
 	f.Arrived = d.u32()
@@ -420,7 +429,7 @@ func (f *Advisory) Encode() []byte {
 
 // DecodeAdvisory parses a FrameAdvisory payload.
 func DecodeAdvisory(p []byte) (Advisory, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := Advisory{
 		Barrier: d.str(), Epoch: d.u64(), Gen: d.u64(),
 		Arrived: d.u32(), Parties: d.u32(),
@@ -457,7 +466,7 @@ func (f *Cancel) Encode() []byte {
 
 // DecodeCancel parses a FrameCancel payload.
 func DecodeCancel(p []byte) (Cancel, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := Cancel{
 		ClientID: d.str(), Barrier: d.str(), Nonce: d.u64(),
 		Epoch: d.u64(), Gen: d.u64(), Reason: d.str(),
@@ -488,7 +497,7 @@ func EncodeStatusReq() []byte { return []byte{FrameStatusReq} }
 // fields, so decoding is pure validation: any trailing bytes mean a torn
 // or concatenated frame and the request must be rejected, not served.
 func DecodeStatusReq(p []byte) error {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	return d.done("status request")
 }
 
@@ -513,7 +522,7 @@ func EncodeStatus(rows []BarrierStatus) []byte {
 
 // DecodeStatus parses a FrameStatus payload.
 func DecodeStatus(p []byte) ([]BarrierStatus, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	n := d.u32()
 	if d.err == nil && int(n) > MaxFrame/8 {
 		return nil, fmt.Errorf("remote: status frame claims %d rows", n)
@@ -561,7 +570,7 @@ func (f *ErrorFrame) Encode() []byte {
 
 // DecodeError parses a FrameError payload.
 func DecodeError(p []byte) (ErrorFrame, error) {
-	d := &dec{b: p[1:]}
+	d := newDec(p)
 	f := ErrorFrame{Code: d.u8(), Barrier: d.str(), Msg: d.str()}
 	return f, d.done("error")
 }

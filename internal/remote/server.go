@@ -453,7 +453,6 @@ func (s *Server) handleRegister(sess *session, f Register) {
 		return
 	}
 	s.touch(f.ClientID)
-	now := s.opts.Now()
 
 	bs, _, _ := s.barriers.GetOrCreate(f.Barrier, func() *barrierState {
 		return &barrierState{
@@ -467,6 +466,9 @@ func (s *Server) handleRegister(sess *session, f Register) {
 		}
 	})
 	bs.mu.Lock()
+	// Under the lock: a clock read before a peer's that locked after it
+	// would end the epoch before the peer arrived (a negative interval).
+	now := s.opts.Now()
 	if bs.parties != f.Parties {
 		bs.mu.Unlock()
 		ef := ErrorFrame{Code: ErrCodeParties, Barrier: f.Barrier, Msg: fmt.Sprintf(

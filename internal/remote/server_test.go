@@ -396,3 +396,84 @@ func TestStallWatchdogAdvises(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestRegisterClockReadUnderLock is the regression test for the server
+// wedge: an arrival that read the clock before its peer but took the
+// barrier lock after it released the epoch with a negative stall, and
+// the predictor panicked with the lock held (a connection that had
+// registered on the barrier before then deadlocked re-taking the lock in
+// its teardown; a fresh one takes the process down). The injected clock
+// orders the two
+// registrations: the first registrant's clock read is held until the
+// peer has been answered. It is held only while the barrier does not
+// exist yet — once it does, the read is inside the barrier's critical
+// section, and holding it there would block the peer for good.
+func TestRegisterClockReadUnderLock(t *testing.T) {
+	var (
+		mu      sync.Mutex
+		calls   int
+		srv     *remote.Server
+		aRead   = make(chan struct{})
+		bServed = make(chan struct{})
+	)
+	base := time.Now()
+	now := func() time.Time {
+		mu.Lock()
+		calls++
+		n := calls
+		mu.Unlock()
+		at := base.Add(time.Duration(n) * time.Millisecond)
+		if n == 2 { // A's touch is call 1; its arrival clock read is call 2
+			close(aRead)
+			if srv.Stats().Barriers == 0 {
+				<-bServed
+			}
+		}
+		return at
+	}
+	srv = remote.NewServer(remote.Options{Lease: time.Hour, StallFloor: time.Hour, Now: now})
+	l := remote.NewPipeListener()
+	go srv.Serve(l)
+	t.Cleanup(func() {
+		l.Close()
+		if !t.Failed() { // a wedged server never finishes Close
+			srv.Close()
+		}
+	})
+
+	dial := func() net.Conn {
+		conn, err := l.Dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		return conn
+	}
+	register := func(conn net.Conn, id string) {
+		f := remote.Register{ClientID: id, Barrier: "b", Parties: 2, Nonce: 1}
+		if err := remote.WriteFrame(conn, f.Encode()); err != nil {
+			t.Error(err)
+		}
+	}
+	expect := func(conn net.Conn, id string, kind byte) {
+		p, err := remote.ReadFrame(conn)
+		if err != nil {
+			t.Fatalf("%s: waiting for frame %d: %v (server wedged?)", id, kind, err)
+		}
+		if p[0] != kind {
+			t.Fatalf("%s: got frame %d, want %d", id, p[0], kind)
+		}
+	}
+
+	a := dial()
+	go register(a, "A")
+	<-aRead
+	b := dial()
+	register(b, "B")
+	expect(b, "B", remote.FrameDirective)
+	close(bServed)
+	// The release fan-out writes to A first, so drain A before B.
+	expect(a, "A", remote.FrameDirective)
+	expect(a, "A", remote.FrameRelease)
+	expect(b, "B", remote.FrameRelease)
+}

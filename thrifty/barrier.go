@@ -58,6 +58,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"thriftybarrier/internal/waiter"
 )
 
 // ErrBroken reports that the barrier's current generation was broken — a
@@ -79,38 +81,17 @@ func (*noCopy) Unlock() {}
 
 // Tier identifies a wait strategy, ordered from lowest exit latency /
 // highest hold cost (Spin) to highest exit latency / lowest hold cost
-// (Park) — the software image of Table 3's sleep states.
-type Tier int
+// (Park) — the software image of Table 3's sleep states. The thriftyd
+// client executes the same tiers.
+type Tier = waiter.Tier
 
 const (
-	// TierSpin busy-waits, checking the round channel; cheapest to leave,
-	// most expensive to hold.
-	TierSpin Tier = iota
-	// TierYield loops over runtime.Gosched, sharing the processor.
-	TierYield
-	// TierTimedPark blocks with a timer armed at the predicted release
-	// minus a margin, then residual-spins: the hybrid wake-up.
-	TierTimedPark
-	// TierPark blocks on the round channel until release: the deepest
-	// state, woken externally only.
-	TierPark
-	numTiers
+	TierSpin      = waiter.TierSpin      // busy-wait on the round, then park
+	TierYield     = waiter.TierYield     // poll over runtime.Gosched, then park
+	TierTimedPark = waiter.TierTimedPark // park with an internal wake-up, then residual-spin
+	TierPark      = waiter.TierPark      // park until the release
+	numTiers      = int(TierPark) + 1
 )
-
-func (t Tier) String() string {
-	switch t {
-	case TierSpin:
-		return "spin"
-	case TierYield:
-		return "yield"
-	case TierTimedPark:
-		return "timed-park"
-	case TierPark:
-		return "park"
-	default:
-		return fmt.Sprintf("Tier(%d)", int(t))
-	}
-}
 
 // Options configures a Barrier. The zero value of each field selects the
 // default.
@@ -208,7 +189,7 @@ func (o *Options) fill() {
 		o.MaxStrikes = 2
 	}
 	if o.SpinBudget == 0 {
-		o.SpinBudget = 30 * time.Microsecond
+		o.SpinBudget = waiter.DefaultBudget
 	}
 	if o.StallMultiple == 0 {
 		o.StallMultiple = 8
@@ -643,29 +624,26 @@ func (b *Barrier) waitSite(ctx context.Context, key uintptr) error {
 	tier := plan.tier
 	predictedRelease, bit := plan.predictedRelease, plan.bit
 
+	w := waiter.Wait{
+		Done:      &rd.done,
+		Release:   parkCh,
+		Cancel:    done,
+		Budget:    b.opts.SpinBudget,
+		Spinnable: b.spinnable,
+		Now:       b.opts.Now,
+	}
 	waitStart := b.opts.Now()
 	var out waitOutcome
-	cancelled := false
-	switch tier {
-	case TierSpin:
-		cancelled = b.spinThenPark(rd, parkCh, done)
-	case TierYield:
-		cancelled = b.yieldThenPark(rd, parkCh, done)
-	case TierTimedPark:
-		out, cancelled = b.timedPark(rd, parkCh, predictedRelease, done)
-		out.parking, out.judge = true, true
-	case TierPark:
-		select {
-		case <-parkCh:
-		case <-done:
-			cancelled = true
-		}
-		out.parking, out.judge = true, true
+	var o waiter.Outcome
+	if tier == TierTimedPark {
+		out, o = b.timedPark(rd, &w, predictedRelease)
+	} else {
+		o = w.Run(tier, 0)
 	}
 	end := b.opts.Now()
 	stall := end.Sub(waitStart)
 
-	if cancelled {
+	if o == waiter.Cancelled {
 		if released := b.breakRound(rd); !released {
 			return ctx.Err()
 		}
@@ -685,7 +663,9 @@ func (b *Barrier) waitSite(ctx context.Context, key uintptr) error {
 	} else {
 		s.lastStall.Store(1) // a measured-zero stall still counts as a sample
 	}
-	if out.parking && stall > 0 {
+	// The parking tiers free the processor and face the cut-off.
+	parking := tier >= TierTimedPark
+	if parking && stall > 0 {
 		s.parked.Add(int64(stall))
 	}
 	if out.earlyWake {
@@ -694,7 +674,7 @@ func (b *Barrier) waitSite(ctx context.Context, key uintptr) error {
 	if out.lateWake {
 		s.lateWakes.Add(1)
 	}
-	if out.judge {
+	if parking {
 		b.applyCutoff(s, predictedRelease, end, bit)
 	}
 	return nil
@@ -875,17 +855,11 @@ func (b *Barrier) stallCheck(rd *round, gen uint64, bit time.Duration) {
 	b.opts.OnStall(info)
 }
 
-// waitOutcome is what the wait path reports back so that all post-wait
-// bookkeeping folds into one place.
+// waitOutcome is how a timed park resolved, reported back so that all
+// post-wait bookkeeping folds into one place.
 type waitOutcome struct {
-	// parking marks a parking tier: the stall counts as freed CPU time.
-	parking bool
-	// earlyWake/lateWake record how a timed park resolved.
-	earlyWake bool
-	lateWake  bool
-	// judge marks waits whose prediction drove a park and must face the
-	// §3.3.3 cut-off.
-	judge bool
+	earlyWake bool // the internal wake-up fired first (residual spin)
+	lateWake  bool // the release beat the armed internal wake-up
 }
 
 // selectTier is the sleep() best-fit scan (§3.1) over the wait tiers.
@@ -910,66 +884,6 @@ func (b *Barrier) selectTier(stall time.Duration, havePred bool) Tier {
 		return TierTimedPark
 	default:
 		return TierPark
-	}
-}
-
-// spinThenPark busy-waits within the spin budget, then parks — a wrong
-// "short" prediction costs at most the budget. The hot loop is a single
-// atomic load; the clock and the cancellation channel are consulted only
-// every batch (done is nil for plain Wait callers and never fires). It
-// reports whether the wait ended by cancellation.
-func (b *Barrier) spinThenPark(rd *round, parkCh chan struct{}, done <-chan struct{}) (cancelled bool) {
-	if !b.spinnable {
-		return b.yieldThenPark(rd, parkCh, done)
-	}
-	deadline := b.opts.Now().Add(b.opts.SpinBudget)
-	for {
-		for i := 0; i < 1024; i++ {
-			if rd.done.Load() {
-				return false
-			}
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		if b.opts.Now().After(deadline) {
-			select {
-			case <-parkCh:
-				return false
-			case <-done:
-				return true
-			}
-		}
-	}
-}
-
-// yieldThenPark shares the processor while polling, then parks.
-func (b *Barrier) yieldThenPark(rd *round, parkCh chan struct{}, done <-chan struct{}) (cancelled bool) {
-	deadline := b.opts.Now().Add(b.opts.SpinBudget)
-	for {
-		if rd.done.Load() {
-			return false
-		}
-		if done != nil {
-			select {
-			case <-done:
-				return true
-			default:
-			}
-		}
-		runtime.Gosched()
-		if b.opts.Now().After(deadline) {
-			select {
-			case <-parkCh:
-				return false
-			case <-done:
-				return true
-			}
-		}
 	}
 }
 

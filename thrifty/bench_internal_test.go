@@ -2,44 +2,7 @@ package thrifty
 
 import (
 	"testing"
-	"time"
 )
-
-// The timed-park acceptance check: the steady state of the hybrid wake-up
-// allocates nothing. The round is pre-released so timedPark arms its
-// wheel entry and immediately takes the external wake-up — the full
-// arm/cancel round trip on the timing wheel plus the wake-channel pool
-// cycle, with no blocking.
-func TestTimedParkZeroAllocSteadyState(t *testing.T) {
-	b := New(2, Options{})
-	rd := &round{ch: make(chan struct{})}
-	rd.done.Store(true)
-	close(rd.ch)
-	predicted := time.Now().Add(time.Hour) // wheel entry would fire far in the future
-	avg := testing.AllocsPerRun(1000, func() {
-		out, cancelled := b.timedPark(rd, rd.ch, predicted, nil)
-		if !out.lateWake || cancelled {
-			t.Fatal("timed park did not resolve through the external wake-up")
-		}
-	})
-	if avg != 0 {
-		t.Fatalf("timed park allocated %v allocs/op in steady state (arm/cancel path miss)", avg)
-	}
-}
-
-// BenchmarkTimedPark measures the non-blocking timed-park round trip (arm
-// the wheel entry, win the external wake-up, cancel in O(1)).
-func BenchmarkTimedPark(b *testing.B) {
-	bar := New(2, Options{})
-	rd := &round{ch: make(chan struct{})}
-	rd.done.Store(true)
-	close(rd.ch)
-	predicted := time.Now().Add(time.Hour)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		bar.timedPark(rd, rd.ch, predicted, nil)
-	}
-}
 
 // BenchmarkArrive measures the pure arrival word cost with a single
 // party (every call is the releaser: one claim CAS plus round swap).

@@ -34,6 +34,7 @@ import (
 	"thriftybarrier/internal/fault"
 	"thriftybarrier/internal/registry"
 	"thriftybarrier/internal/remote"
+	"thriftybarrier/internal/waiter"
 	"thriftybarrier/thrifty"
 )
 
@@ -122,14 +123,17 @@ type Client struct {
 	// dispatch path (one per received frame) are lock-free; inserts
 	// happen under mu so the closed check in addWaiter and the
 	// collect-and-finish in Close cannot race.
-	waiters *registry.Registry[*waiter]
+	waiters *registry.Registry[*call]
+	// ended maps barrier → the latest epoch a Wait on it ended in
+	// (guarded by mu): a release frame at or below it is a stale
+	// duplicate, never the outcome of a later Wait.
+	ended map[string]uint64
 
 	wmu sync.Mutex // frame writes
 
 	dialMu    sync.Mutex // single-flight dialing
 	redialing bool
 
-	closedCh   chan struct{}
 	baseCtx    context.Context // done when the client closes
 	baseCancel context.CancelFunc
 	hbOnce     sync.Once
@@ -138,48 +142,48 @@ type Client struct {
 	wg         sync.WaitGroup
 }
 
-// waiter is one in-flight Wait call.
-type waiter struct {
+// call is one in-flight Wait call.
+type call struct {
 	barrier string
 	parties uint32
 	nonce   uint64
+	after   uint64 // the epoch the previous Wait on barrier ended in
 
 	mu        sync.Mutex
 	directive *remote.Directive
 	err       error
+	epoch     uint64 // the epoch of the release frame that ended the call
 
-	dirCh chan struct{} // closed when the directive lands
-	done  chan struct{} // closed when the outcome lands
+	// ended is set, and then done closed, when the outcome lands: the
+	// flag is the wait rungs' spin target, the channel their park target.
+	ended atomic.Bool
+	done  chan struct{}
+	dirCh chan struct{} // closed when the directive or the outcome lands
 }
 
-func (w *waiter) setDirective(d remote.Directive) {
+func (w *call) setDirective(d remote.Directive) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.directive == nil {
+	if w.directive == nil && !w.ended.Load() {
 		w.directive = &d
 		close(w.dirCh)
 	}
 }
 
-func (w *waiter) finish(err error) {
+// finish records the call's outcome; epoch is the ending release
+// frame's, or 0 when no release ended it.
+func (w *call) finish(err error, epoch uint64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	select {
-	case <-w.done:
+	if w.ended.Load() {
 		return
-	default:
 	}
-	w.err = err
+	w.err, w.epoch = err, epoch
+	if w.directive == nil {
+		close(w.dirCh) // an outcome replayed before the directive
+	}
+	w.ended.Store(true)
 	close(w.done)
-}
-
-func (w *waiter) finished() bool {
-	select {
-	case <-w.done:
-		return true
-	default:
-		return false
-	}
 }
 
 // New builds a client. It does not dial; the first Wait (or Status)
@@ -192,8 +196,8 @@ func New(opts Options) (*Client, error) {
 	return &Client{
 		opts:       opts,
 		src:        fault.NewSource(opts.Seed, "client/"+opts.ClientID),
-		waiters:    registry.New[*waiter](4),
-		closedCh:   make(chan struct{}),
+		waiters:    registry.New[*call](4),
+		ended:      make(map[string]uint64),
 		baseCtx:    ctx,
 		baseCancel: cancel,
 	}, nil
@@ -221,18 +225,17 @@ func (c *Client) Close() error {
 	c.mu.Unlock()
 	// Inserts happen under mu, so after closed is set the snapshot below
 	// cannot miss a waiter that will never be finished.
-	var waiters []*waiter
-	c.waiters.Range(func(_ string, _ uint64, w *waiter) bool {
+	var waiters []*call
+	c.waiters.Range(func(_ string, _ uint64, w *call) bool {
 		waiters = append(waiters, w)
 		return true
 	})
-	close(c.closedCh)
 	c.baseCancel()
 	if conn != nil {
 		conn.Close()
 	}
 	for _, w := range waiters {
-		w.finish(ErrClosed)
+		w.finish(ErrClosed, 0)
 	}
 	c.wg.Wait()
 	return nil
@@ -246,15 +249,31 @@ func (c *Client) Close() error {
 // directive picks the spin/yield/timed-park/park tier from the predicted
 // stall, and the client honors it locally.
 func (c *Client) Wait(ctx context.Context, barrier string, parties int) error {
+	if err := ctx.Err(); err != nil {
+		return err // cancelled before arrival: nothing to join or break
+	}
 	w, err := c.addWaiter(barrier, parties)
 	if err != nil {
 		return err
 	}
 	defer c.removeWaiter(w)
-	if err := c.register(ctx, w); err != nil {
-		return err
+
+	// The transport may silently drop any frame, so "sent" proves nothing
+	// — only the directive does: the registration is re-sent on the
+	// backoff schedule until the directive (or an outcome replayed before
+	// it) lands. The nonce makes the retransmits harmless.
+	reg := waiter.Wait{Release: w.dirCh, Cancel: ctx.Done()}
+	o := c.retransmit(ctx, w, &reg, waiter.Expired, c.backoff)
+	if o == waiter.Released && w.directive != nil { // settled once dirCh closed
+		o = c.await(ctx, w, w.directive)
 	}
-	return c.await(ctx, w)
+	if o == waiter.Cancelled && !w.ended.Load() {
+		c.sendCancel(w, ctx.Err().Error())
+		return ctx.Err()
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.err
 }
 
 // WaitTimeout is Wait with a hard deadline: past it, the wait gives up,
@@ -271,14 +290,14 @@ func (c *Client) WaitTimeout(barrier string, parties int, d time.Duration) error
 	return err
 }
 
-func (c *Client) addWaiter(barrier string, parties int) (*waiter, error) {
+func (c *Client) addWaiter(barrier string, parties int) (*call, error) {
 	if barrier == "" {
 		return nil, errors.New("client: empty barrier name")
 	}
 	if parties < 1 {
 		return nil, fmt.Errorf("client: parties %d < 1", parties)
 	}
-	w := &waiter{
+	w := &call{
 		barrier: barrier,
 		parties: uint32(parties),
 		nonce:   c.nonce.Add(1),
@@ -290,197 +309,112 @@ func (c *Client) addWaiter(barrier string, parties int) (*waiter, error) {
 	if c.closed {
 		return nil, ErrClosed
 	}
+	w.after = c.ended[barrier]
 	if _, ok := c.waiters.Insert(barrier, w); !ok {
 		return nil, fmt.Errorf("client: wait already in flight on barrier %q", barrier)
 	}
 	return w, nil
 }
 
-func (c *Client) removeWaiter(w *waiter) {
-	c.waiters.Delete(w.barrier, func(got *waiter) bool { return got == w })
+// removeWaiter retires a finished call and records the epoch it ended
+// in: its release frame's, else its directive's (an abandoned epoch is
+// broken by the cancel).
+func (c *Client) removeWaiter(w *call) {
+	c.waiters.Delete(w.barrier, func(got *call) bool { return got == w })
+	w.mu.Lock()
+	epoch := w.epoch
+	w.mu.Unlock()
+	if epoch == 0 {
+		epoch, _ = w.token()
+	}
+	c.mu.Lock()
+	if epoch > c.ended[w.barrier] {
+		c.ended[w.barrier] = epoch
+	}
+	c.mu.Unlock()
 }
 
-func (c *Client) registerFrame(w *waiter) []byte {
+// token is the resume token of w's directive, zero before it lands.
+func (w *call) token() (epoch, gen uint64) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.directive == nil {
+		return 0, 0
+	}
+	return w.directive.Epoch, w.directive.Gen
+}
+
+func (c *Client) registerFrame(w *call) []byte {
 	f := remote.Register{
 		ClientID: c.opts.ClientID,
 		Barrier:  w.barrier,
 		Parties:  w.parties,
 		Nonce:    w.nonce,
 	}
-	w.mu.Lock()
-	if w.directive != nil {
-		f.Epoch, f.Gen = w.directive.Epoch, w.directive.Gen
-	}
-	w.mu.Unlock()
+	f.Epoch, f.Gen = w.token()
 	return f.Encode()
 }
 
-// register re-sends the registration until its directive (or outcome)
-// arrives. The transport may silently drop any frame, so "sent" proves
-// nothing — only the directive does; the nonce makes the retransmits
-// harmless. Between sends it polls briefly at yield cadence (the
-// fault-free directive arrives in microseconds) and then backs off
-// exponentially with deterministic jitter.
-func (c *Client) register(ctx context.Context, w *waiter) error {
-	for attempt := 0; ; attempt++ {
-		if w.finished() {
-			return nil // outcome replayed before the directive: await reads it
+// await executes the directive's tier on the shared wait ladder. The
+// release frame wakes a parked call directly, so the spin budget need
+// only cover a park's wake-up, not the remote stall. The release frame
+// may be dropped, so every park is bounded by a refresh deadline (eight
+// poll cadences, at least 20ms), past which the registration is re-sent
+// at a doubling cadence and the server replays the open directive or the
+// recorded release. Close finishes every call, so the release channel
+// also covers a closing client.
+func (c *Client) await(ctx context.Context, w *call, dir *remote.Directive) waiter.Outcome {
+	poll := 2 * time.Millisecond
+	if dir.PollNanos > 0 {
+		poll = time.Duration(dir.PollNanos)
+	}
+	refresh := max(8*poll, 20*time.Millisecond)
+	wt := waiter.Wait{
+		Done:      &w.ended,
+		Release:   w.done,
+		Cancel:    ctx.Done(),
+		Budget:    waiter.DefaultBudget,
+		Spinnable: runtime.GOMAXPROCS(0) > 1,
+		Limit:     refresh,
+		Now:       c.opts.Now,
+	}
+	o := wt.Run(waiter.Tier(dir.Tier), time.Duration(dir.ParkNanos))
+	return c.retransmit(ctx, w, &wt, o, func(int) time.Duration {
+		if refresh < c.opts.RetryMax {
+			refresh *= 2
 		}
-		select {
-		case <-w.dirCh:
-			return nil
-		case <-ctx.Done():
-			c.sendCancel(w, ctx.Err().Error())
-			return ctx.Err()
-		case <-c.closedCh:
-			return ErrClosed
-		default:
-		}
+		return refresh
+	})
+}
+
+// retransmit re-sends w's registration each time its wait expired and
+// waits again, delay(attempt) at most, until the wait ends otherwise.
+func (c *Client) retransmit(ctx context.Context, w *call, wt *waiter.Wait, o waiter.Outcome, delay func(attempt int) time.Duration) waiter.Outcome {
+	for attempt := 0; o == waiter.Expired; attempt++ {
 		if conn, err := c.ensureConn(ctx); err == nil {
 			c.write(conn, c.registerFrame(w))
 		}
-		// Fast path: yield-poll for the round trip before sleeping.
-		for i := 0; i < 256; i++ {
-			if w.finished() {
-				return nil
-			}
-			select {
-			case <-w.dirCh:
-				return nil
-			default:
-				runtime.Gosched()
-			}
-		}
-		if done := c.sleep(c.backoff(attempt), w.dirCh, w.done); done {
-			continue
-		}
-		select {
-		case <-ctx.Done():
-			c.sendCancel(w, ctx.Err().Error())
-			return ctx.Err()
-		case <-c.closedCh:
-			return ErrClosed
-		default:
-		}
+		o = wt.Sleep(delay(attempt))
 	}
-}
-
-// await blocks until the waiter's outcome, honoring the directive's
-// tier. Because the release frame itself may be dropped, the wait
-// doubles as a pull loop: past the expected stall it re-sends the
-// registration at a backed-off cadence, and the server replays either
-// the still-open directive or the recorded release.
-func (c *Client) await(ctx context.Context, w *waiter) error {
-	w.mu.Lock()
-	dir := w.directive
-	w.mu.Unlock()
-
-	// Directive-driven first phase.
-	if dir != nil && !w.finished() {
-		switch dir.Tier {
-		case remote.TierSpin:
-			// Busy-poll, bounded by twice the predicted stall: past that
-			// the prediction was wrong and burning cycles stops paying.
-			limit := 2 * time.Duration(dir.PredictedStallNanos)
-			start := c.opts.Now()
-			for !w.finished() && ctx.Err() == nil && c.opts.Now().Sub(start) < limit {
-				runtime.Gosched()
-			}
-		case remote.TierTimedPark:
-			// Sleep through the predicted stall (minus the server's
-			// margin), then fall through to the poll loop for the rest.
-			if d := time.Duration(dir.ParkNanos); d > 0 {
-				c.sleep(d, w.done, ctx.Done())
-			}
-		}
-	}
-
-	// Poll-and-refresh phase: yield/park tiers start here immediately.
-	poll := 2 * time.Millisecond
-	if dir != nil && dir.PollNanos > 0 {
-		poll = time.Duration(dir.PollNanos)
-	}
-	refresh := 8 * poll
-	if refresh < 20*time.Millisecond {
-		refresh = 20 * time.Millisecond
-	}
-	nextRefresh := c.opts.Now().Add(refresh)
-	for {
-		if w.finished() {
-			w.mu.Lock()
-			err := w.err
-			w.mu.Unlock()
-			return err
-		}
-		select {
-		case <-ctx.Done():
-			c.sendCancel(w, ctx.Err().Error())
-			return ctx.Err()
-		case <-c.closedCh:
-			return ErrClosed
-		default:
-		}
-		c.sleep(poll, w.done, ctx.Done())
-		if now := c.opts.Now(); now.After(nextRefresh) {
-			if conn, err := c.ensureConn(ctx); err == nil {
-				c.write(conn, c.registerFrame(w))
-			}
-			if refresh < c.opts.RetryMax {
-				refresh *= 2
-			}
-			nextRefresh = now.Add(refresh)
-		}
-	}
+	return o
 }
 
 // sendCancel tells the server this attempt is abandoned, breaking the
 // epoch for the peers. Best-effort: if it is lost, the lease breaks the
 // epoch instead.
-func (c *Client) sendCancel(w *waiter, reason string) {
+func (c *Client) sendCancel(w *call, reason string) {
 	f := remote.Cancel{
 		ClientID: c.opts.ClientID,
 		Barrier:  w.barrier,
 		Nonce:    w.nonce,
 		Reason:   reason,
 	}
-	w.mu.Lock()
-	if w.directive != nil {
-		f.Epoch, f.Gen = w.directive.Epoch, w.directive.Gen
-	}
-	w.mu.Unlock()
+	f.Epoch, f.Gen = w.token()
 	c.mu.Lock()
 	conn := c.conn
 	c.mu.Unlock()
 	if conn != nil {
 		c.write(conn, f.Encode())
-	}
-}
-
-// sleep sleeps for d in small quanta, returning early (true) if either
-// wake channel closes. Built on time.Sleep alone: the client library is
-// inside the waketimer analyzer's scope, and a per-poll runtime timer
-// heap entry is exactly the cost it polices.
-func (c *Client) sleep(d time.Duration, wake1, wake2 <-chan struct{}) bool {
-	const quantum = time.Millisecond
-	deadline := c.opts.Now().Add(d)
-	for {
-		select {
-		case <-wake1:
-			return true
-		case <-wake2:
-			return true
-		case <-c.closedCh:
-			return true
-		default:
-		}
-		remaining := deadline.Sub(c.opts.Now())
-		if remaining <= 0 {
-			return false
-		}
-		if remaining > quantum {
-			remaining = quantum
-		}
-		time.Sleep(remaining)
 	}
 }
 
@@ -600,17 +534,15 @@ func (c *Client) readLoop(conn net.Conn) {
 				continue
 			}
 			// Accept when the epoch matches ours, or when we never
-			// learned ours — a replayed outcome answering our register.
-			w.mu.Lock()
-			known := w.directive
-			w.mu.Unlock()
-			if known != nil && known.Epoch != f.Epoch {
+			// learned ours — a replayed outcome answering our register —
+			// unless it is a duplicate of an earlier Wait's release.
+			if epoch, _ := w.token(); epoch != 0 && epoch != f.Epoch || epoch == 0 && f.Epoch <= w.after {
 				continue
 			}
 			if f.Broken {
-				w.finish(fmt.Errorf("%w: %s", thrifty.ErrBroken, f.Reason))
+				w.finish(fmt.Errorf("%w: %s", thrifty.ErrBroken, f.Reason), f.Epoch)
 			} else {
-				w.finish(nil)
+				w.finish(nil, f.Epoch)
 			}
 		case remote.FrameAdvisory:
 			f, err := remote.DecodeAdvisory(payload)
@@ -632,7 +564,7 @@ func (c *Client) readLoop(conn net.Conn) {
 				// Permanent for this wait: retrying cannot fix a width
 				// disagreement.
 				if w := c.waiterFor(f.Barrier); w != nil {
-					w.finish(fmt.Errorf("client: %s", f.Msg))
+					w.finish(fmt.Errorf("client: %s", f.Msg), 0)
 				}
 			}
 		case remote.FrameStatus:
@@ -655,7 +587,7 @@ func (c *Client) readLoop(conn net.Conn) {
 // is the per-received-frame hot path, and the registry makes it
 // lock-free: frame dispatch never queues behind Wait setup/teardown or
 // the connection bookkeeping under c.mu.
-func (c *Client) waiterFor(barrier string) *waiter {
+func (c *Client) waiterFor(barrier string) *call {
 	w, _, _ := c.waiters.Get(barrier)
 	return w
 }
@@ -697,26 +629,24 @@ func (c *Client) redialLoop() {
 		c.mu.Unlock()
 	}()
 	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		closed := c.closed
-		c.mu.Unlock()
-		var pending []*waiter
-		c.waiters.Range(func(_ string, _ uint64, w *waiter) bool {
+		var pending []*call
+		c.waiters.Range(func(_ string, _ uint64, w *call) bool {
 			pending = append(pending, w)
 			return true
 		})
-		if closed || len(pending) == 0 {
-			return
+		if c.baseCtx.Err() != nil || len(pending) == 0 {
+			return // closed, or nothing left to re-register
 		}
 		conn, err := c.ensureConn(c.baseCtx)
 		if err != nil {
-			if c.sleep(c.backoff(attempt), nil, nil) {
+			backoff := waiter.Wait{Cancel: c.baseCtx.Done()}
+			if backoff.Sleep(c.backoff(attempt)) != waiter.Expired {
 				return // closed
 			}
 			continue
 		}
 		for _, w := range pending {
-			if !w.finished() {
+			if !w.ended.Load() {
 				c.write(conn, c.registerFrame(w))
 			}
 		}
@@ -731,7 +661,7 @@ func (c *Client) heartbeatLoop() {
 	defer t.Stop()
 	for {
 		select {
-		case <-c.closedCh:
+		case <-c.baseCtx.Done():
 			return
 		case <-t.C:
 		}
@@ -790,7 +720,7 @@ func (c *Client) Status(ctx context.Context) ([]remote.BarrierStatus, error) {
 	case <-ctx.Done():
 		clear()
 		return nil, ctx.Err()
-	case <-c.closedCh:
+	case <-c.baseCtx.Done():
 		clear()
 		return nil, ErrClosed
 	}

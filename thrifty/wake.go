@@ -2,64 +2,17 @@ package thrifty
 
 import (
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"thriftybarrier/internal/waiter"
 	"thriftybarrier/internal/wheel"
 )
-
-// The internal wake-up (§3.3.2's programmable timer) is delivered through
-// the process-wide timing wheel (internal/wheel) instead of a per-waiter
-// time.Timer. The change is invisible to the algorithm — late/early wake
-// accounting, the residual spin and the cut-off verdict are fed exactly
-// as before — but it moves the cost off the Go runtime's per-P timer
-// heaps: arming is an O(1) bucket append, and the overwhelmingly common
-// cancel (the external wake-up usually wins the race) is an O(1) unlink
-// that never touches a heap. In the many-barrier regime this is the
-// difference between every park/release pair paying two O(log n) heap
-// operations and paying two short critical sections on a sharded lock.
-//
-// The predecessor of this file pooled time.Timer values and stopped them
-// with a non-blocking drain before Put. That protocol had a real race
-// (confirmed by TestTimedParkWakeRace before the rewrite): when the
-// timer fired at the same instant the external wake-up won the select,
-// Stop returned false while the runtime was still between "timer removed
-// from heap" and "tick delivered to the channel" — the non-blocking drain
-// found the channel empty, the timer was pooled, and the late tick
-// poisoned the next waiter's Get, waking it immediately and feeding a
-// bogus early-wake sample to the predictor. The wake-channel protocol
-// below closes that window by construction: a failed Cancel means the
-// fire owns the channel's single token, so the waiter BLOCKS for it —
-// the wheel's post-unlock send makes that receive bounded — and only a
-// proven-empty channel is ever pooled.
-
-// wakeChPool recycles the capacity-1 channels the wheel delivers internal
-// wake-ups through. A channel is pooled only when provably empty: after
-// its token was consumed, or after a successful Cancel (no token was or
-// will ever be sent).
-var wakeChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
 // timedParked counts waiters currently inside timedPark across every
 // Barrier in the process — the load signal for the spin-then-wheel
 // policy below.
 var timedParked atomic.Int64
-
-// disarmWake resolves the §3.3.2 race on the waiter's side after the
-// external wake-up (or a cancellation) won the select: the internal
-// wake-up is cancelled in O(1), and if the cancel reports that the fire
-// already claimed the entry, the in-flight token is consumed so the
-// channel goes back to the pool empty.
-func disarmWake(h wheel.Handle, ch chan struct{}) {
-	if !wheel.Default().Cancel(h) {
-		// The fire won: its token is in the channel or about to be sent
-		// (the wheel sends right after releasing the shard lock), so this
-		// receive is bounded. Blocking here — rather than a non-blocking
-		// drain — is what makes pooled channels impossible to poison.
-		<-ch
-	}
-	wakeChPool.Put(ch)
-}
 
 // coalescedWake is one shared internal wake-up: a broadcast-close wheel
 // entry that every waiter of the round whose predicted release quantizes
@@ -127,23 +80,16 @@ func leaveCoalesced(w *wheel.Wheel, rd *round, cw *coalescedWake) {
 	}
 }
 
-// timedPark is the hybrid wake-up (§3.3.2): block on the round's
-// broadcast channel (external wake-up, the flag-flip invalidation) and a
-// timing-wheel entry armed at the predicted release minus the margin
-// (internal wake-up); the first to trigger cancels the other. A
-// timer-woken waiter residual-spins until the release (§2's Residual
-// Spin). The outcome is reported back rather than recorded here so the
-// caller can fold all post-wait bookkeeping in one place.
-func (b *Barrier) timedPark(rd *round, parkCh chan struct{}, predictedRelease time.Time, done <-chan struct{}) (out waitOutcome, cancelled bool) {
-	wake := predictedRelease.Add(-b.opts.ParkMargin)
-	d := wake.Sub(b.opts.Now())
+// timedPark is the hybrid wake-up (§3.3.2) for an early arriver whose
+// prediction put it in the timed-park tier: the internal wake-up is armed
+// at the predicted release minus the margin, and the waiter parks on its
+// external wake-up (w.Release) until either triggers. The outcome is
+// reported back rather than recorded here so the caller can fold all
+// post-wait bookkeeping in one place.
+func (b *Barrier) timedPark(rd *round, w *waiter.Wait, predictedRelease time.Time) (out waitOutcome, o waiter.Outcome) {
+	d := predictedRelease.Add(-b.opts.ParkMargin).Sub(b.opts.Now())
 	if d <= 0 {
-		select {
-		case <-parkCh:
-		case <-done:
-			cancelled = true
-		}
-		return out, cancelled
+		return out, w.Park()
 	}
 	timedParked.Add(1)
 	defer timedParked.Add(-1)
@@ -159,8 +105,7 @@ func (b *Barrier) timedPark(rd *round, parkCh chan struct{}, predictedRelease ti
 	// arm time, hence earlyWake: the cut-off still judges the prediction.
 	if d <= b.opts.SpinBudget && b.spinnable && timedParked.Load() <= int64(runtime.GOMAXPROCS(0)) {
 		out.earlyWake = true
-		cancelled = b.spinThenPark(rd, parkCh, done)
-		return out, cancelled
+		return out, w.SpinThenPark()
 	}
 
 	// Coalesced path: with more than two parties, sibling waiters of the
@@ -172,39 +117,18 @@ func (b *Barrier) timedPark(rd *round, parkCh chan struct{}, predictedRelease ti
 	// path below.
 	if b.parties > 2 {
 		if cw := joinCoalesced(wheel.Default(), rd, d); cw != nil {
-			select {
-			case <-parkCh:
-				out.lateWake = true
-			case <-cw.ch:
-				out.earlyWake = true
-				leaveCoalesced(wheel.Default(), rd, cw)
-				cancelled = b.spinThenPark(rd, parkCh, done)
-				return out, cancelled
-			case <-done:
-				cancelled = true
-			}
+			o = w.ParkOn(cw.ch)
 			leaveCoalesced(wheel.Default(), rd, cw)
-			return out, cancelled
+			if o == waiter.Expired {
+				out.earlyWake = true
+				return out, w.SpinThenPark()
+			}
+			out.lateWake = o == waiter.Released
+			return out, o
 		}
 	}
 
-	wch := wakeChPool.Get().(chan struct{})
-	h := wheel.Default().Arm(d, wch)
-	select {
-	case <-parkCh:
-		// External wake-up won: the release beat the timer.
-		out.lateWake = true
-		disarmWake(h, wch)
-	case <-wch:
-		// Internal wake-up: the token is consumed, so the channel is
-		// clean for the pool; residual-spin for the release, bounded by
-		// the spin budget, then park.
-		out.earlyWake = true
-		wakeChPool.Put(wch)
-		cancelled = b.spinThenPark(rd, parkCh, done)
-	case <-done:
-		cancelled = true
-		disarmWake(h, wch)
-	}
-	return out, cancelled
+	o, out.earlyWake = w.TimedPark(d)
+	out.lateWake = !out.earlyWake && o == waiter.Released
+	return out, o
 }
