@@ -259,6 +259,40 @@ func BenchmarkCoherenceInvalidationFanout(b *testing.B) {
 	}
 }
 
+// BenchmarkCoherenceFlushForSleep dirties a node's 64-line working set and
+// flushes it before a gated sleep, with the directory populated by every
+// other node's resident lines: at the 8-node region size the sharded core
+// machine runs, and at the paper's 64 nodes. The flush walks the node's
+// own L2, so ns/op should not grow with the directory.
+func BenchmarkCoherenceFlushForSleep(b *testing.B) {
+	for _, nodes := range []int{8, 64} {
+		b.Run("nodes-"+strconv.Itoa(nodes), func(b *testing.B) {
+			cfg := coherence.DefaultConfig()
+			cfg.Nodes = nodes
+			ncfg := noc.DefaultConfig()
+			ncfg.Nodes = nodes
+			p := coherence.New(cfg, noc.New(ncfg), dram.NewPlacement(nodes, 4096))
+			// Every node fills half its L2 with private lines, one Exclusive
+			// directory entry each.
+			half := cfg.L2.SizeBytes / cfg.L2.LineBytes / 2
+			for n := 0; n < nodes; n++ {
+				for i := 0; i < half; i++ {
+					p.Read(n, uint64(n+1)<<24|uint64(i)<<6, 0)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := sim.Cycles(i) * 1000
+				for l := 0; l < 64; l++ {
+					p.Write(0, uint64(l)<<6, now)
+				}
+				p.FlushForSleep(0, now)
+			}
+		})
+	}
+}
+
 func BenchmarkNoCLatency(b *testing.B) {
 	n := noc.New(noc.DefaultConfig())
 	var sink sim.Cycles

@@ -168,31 +168,35 @@ type pwaiter struct {
 	woken         bool
 	wokeReady     sim.Cycles
 
-	spinFrom     sim.Cycles // last completed flag read (spin detection point)
-	armed        bool       // first spin read completed
-	spinThenArm  bool       // arm reply should schedule the spin-then-sleep threshold
-	pendingWake  bool       // release delivery raced an in-flight flag read
-	resolving    bool       // release-triggered re-read issued
-	departed     bool
-	converting   bool // spin-then-sleep conversion in progress
+	spinFrom    sim.Cycles // last completed flag read (spin detection point)
+	armed       bool       // first spin read completed
+	spinThenArm bool       // arm reply should schedule the spin-then-sleep threshold
+	pendingWake bool       // release delivery raced an in-flight flag read
+	resolving   bool       // release-triggered re-read issued
+	departed    bool
+	converting  bool // spin-then-sleep conversion in progress
 }
 
 // flag-read purposes: how the reply is interpreted.
 type readPurpose uint8
 
 const (
-	readArm          readPurpose = iota // first spin read (registers the sharer)
-	readPreSleep                        // controller read before transitioning in
-	readVerifyTimer                     // post-internal-wake verification
-	readVerifyIPI                       // post-external-wake verification
-	readResolve                         // release detected; final re-read
+	readArm         readPurpose = iota // first spin read (registers the sharer)
+	readPreSleep                       // controller read before transitioning in
+	readVerifyTimer                    // post-internal-wake verification
+	readVerifyIPI                      // post-external-wake verification
+	readResolve                        // release detected; final re-read
 )
 
 // nodeset is a machine-wide node bitset (the flag sharer vector).
 type nodeset []uint64
 
-func (s nodeset) add(n int)      { s[n/64] |= 1 << uint(n%64) }
-func (s nodeset) clear()         { for i := range s { s[i] = 0 } }
+func (s nodeset) add(n int) { s[n/64] |= 1 << uint(n%64) }
+func (s nodeset) clear() {
+	for i := range s {
+		s[i] = 0
+	}
+}
 func (s nodeset) forEach(f func(int)) {
 	for i, w := range s {
 		for v := w; v != 0; v &= v - 1 {

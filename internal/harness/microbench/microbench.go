@@ -321,10 +321,11 @@ func ParallelEngineEvents(shards int) func(*testing.B) {
 // caches, directories, predictor, sleep transitions — through a short
 // Thrifty run at 64 CPUs (8-CPU NoC regions, the core-scaling study's
 // workload) and reports ns/event over the machine's own event count.
-// shards 0 is the plain sequential engine, the golden reference;
-// shards-1 isolates the parallel engine's window overhead on identical
-// physics; shards-4/8 measure the conservative-window throughput the
-// 256-CPU study leans on.
+// Machine construction is outside the timer, so ns/event is per-event
+// cost only. shards 0 is the plain sequential engine, the golden
+// reference; shards-1 isolates the parallel engine's window overhead on
+// identical physics; shards-4/8 measure the conservative-window
+// throughput the 256-CPU study leans on.
 func ParallelCoreEvents(shards int) func(*testing.B) {
 	return func(b *testing.B) {
 		arch := core.DefaultArch().WithNodes(64)
@@ -333,10 +334,12 @@ func ParallelCoreEvents(shards int) func(*testing.B) {
 		var events uint64
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			b.StopTimer()
 			m, err := core.NewParallelMachine(arch, core.Thrifty())
 			if err != nil {
 				b.Fatal(err)
 			}
+			b.StartTimer()
 			events += m.Run(prog, shards).Events
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events), "ns/event")

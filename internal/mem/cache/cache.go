@@ -96,6 +96,10 @@ type Cache struct {
 	setMask   uint64
 	lineShift uint
 	clock     uint64 // LRU clock
+	// count holds the number of ways in each LineState, so the dirty and
+	// exclusive populations are known without a scan. count[Invalid]
+	// includes never-filled ways.
+	count [4]int
 
 	// Stats.
 	hits, misses, evictions, writebacks uint64
@@ -116,12 +120,21 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	return &Cache{
+	c := &Cache{
 		cfg:       cfg,
 		sets:      sets,
 		setMask:   uint64(cfg.Sets() - 1),
 		lineShift: shift,
 	}
+	c.count[Invalid] = len(backing)
+	return c
+}
+
+// setState moves ln to st, keeping the per-state counts.
+func (c *Cache) setState(ln *line, st LineState) {
+	c.count[ln.state]--
+	c.count[st]++
+	ln.state = st
 }
 
 // Config returns the cache geometry.
@@ -179,7 +192,7 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 	for i := range ways {
 		if ways[i].state.Valid() && ways[i].tag == tag {
 			c.clock++
-			ways[i].state = state
+			c.setState(&ways[i], state)
 			ways[i].lru = c.clock
 			return Victim{}, false
 		}
@@ -211,7 +224,9 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 		}
 	}
 	c.clock++
-	ways[victimIdx] = line{tag: tag, state: state, lru: c.clock}
+	c.setState(&ways[victimIdx], state)
+	ways[victimIdx].tag = tag
+	ways[victimIdx].lru = c.clock
 	return victim, evicted
 }
 
@@ -222,11 +237,7 @@ func (c *Cache) SetState(addr uint64, state LineState) bool {
 	for i := range c.sets[set] {
 		ln := &c.sets[set][i]
 		if ln.state.Valid() && ln.tag == tag {
-			if state == Invalid {
-				ln.state = Invalid
-			} else {
-				ln.state = state
-			}
+			c.setState(ln, state)
 			return true
 		}
 	}
@@ -240,7 +251,7 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 		ln := &c.sets[set][i]
 		if ln.state.Valid() && ln.tag == tag {
 			wasDirty = ln.state.Dirty()
-			ln.state = Invalid
+			c.setState(ln, Invalid)
 			return wasDirty, true
 		}
 	}
@@ -251,47 +262,55 @@ func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 // line addresses. This models the flush a processor performs before
 // entering a deep sleep state whose cache cannot respond to protocol
 // interventions (§3.1): the data must reach a safe place, and subsequent
-// accesses become compulsory misses.
+// accesses become compulsory misses. Lines come back in set and way
+// order; the scan stops at the last dirty line, and a clean cache returns
+// nil without scanning.
 func (c *Cache) FlushDirty() []uint64 {
-	var flushed []uint64
+	n := c.count[Modified]
+	if n == 0 {
+		return nil
+	}
+	flushed := make([]uint64, 0, n)
 	for s := range c.sets {
 		for i := range c.sets[s] {
 			ln := &c.sets[s][i]
 			if ln.state.Dirty() {
 				flushed = append(flushed, ln.tag<<c.lineShift)
-				ln.state = Invalid
+				c.setState(ln, Invalid)
 				c.writebacks++
+				if len(flushed) == n {
+					return flushed
+				}
 			}
 		}
 	}
 	return flushed
 }
 
-// DirtyCount reports how many lines are currently dirty.
-func (c *Cache) DirtyCount() int {
-	n := 0
-	for s := range c.sets {
+// EachExclusive calls f with the line address of every Exclusive line, in
+// set and way order, and stops after the last one. f may change the state
+// of the line it is given (SetState, Invalidate) but of no other line.
+func (c *Cache) EachExclusive(f func(addr uint64)) {
+	n := c.count[Exclusive]
+	for s := 0; n > 0 && s < len(c.sets); s++ {
 		for i := range c.sets[s] {
-			if c.sets[s][i].state.Dirty() {
-				n++
+			ln := &c.sets[s][i]
+			if ln.state == Exclusive {
+				n--
+				f(ln.tag << c.lineShift)
+				if n == 0 {
+					return
+				}
 			}
 		}
 	}
-	return n
 }
 
+// DirtyCount reports how many lines are currently dirty.
+func (c *Cache) DirtyCount() int { return c.count[Modified] }
+
 // ValidCount reports how many lines are currently valid.
-func (c *Cache) ValidCount() int {
-	n := 0
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			if c.sets[s][i].state.Valid() {
-				n++
-			}
-		}
-	}
-	return n
-}
+func (c *Cache) ValidCount() int { return len(c.sets)*c.cfg.Ways - c.count[Invalid] }
 
 // Stats reports hit/miss/eviction/writeback counters.
 func (c *Cache) Stats() (hits, misses, evictions, writebacks uint64) {
@@ -306,4 +325,5 @@ func (c *Cache) Clear() {
 			c.sets[s][i] = line{}
 		}
 	}
+	c.count = [4]int{Invalid: len(c.sets) * c.cfg.Ways}
 }

@@ -219,3 +219,114 @@ func TestWritebackConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// scan recounts the ways by state and lists the Modified lines in set and
+// way order, the reference the O(1) counts and FlushDirty must match.
+func scan(c *Cache) (count [4]int, dirty []uint64) {
+	for s := range c.sets {
+		for _, ln := range c.sets[s] {
+			count[ln.state]++
+			if ln.state == Modified {
+				dirty = append(dirty, ln.tag<<c.lineShift)
+			}
+		}
+	}
+	return count, dirty
+}
+
+// cacheOp is one random step: kind picks Insert, SetState, Invalidate or
+// FlushDirty; line and state pick its operands.
+type cacheOp struct{ Kind, Line, State uint8 }
+
+// Property: under any sequence of Insert/SetState/Invalidate/FlushDirty on
+// a small geometry (4 sets × 2 ways, 16 candidate lines), the per-state
+// counts equal a full scan after every step, DirtyCount is the number of
+// Modified ways, FlushDirty returns exactly the Modified lines in set and
+// way order, and EachExclusive visits exactly the Exclusive ones.
+func TestStateCountsMatchScanProperty(t *testing.T) {
+	f := func(ops []cacheOp) bool {
+		c := New(Config{SizeBytes: 512, LineBytes: 64, Ways: 2})
+		for step, op := range ops {
+			addr := uint64(op.Line%16) << 6
+			state := LineState(op.State % 4)
+			switch op.Kind % 4 {
+			case 0:
+				if state == Invalid {
+					state = Shared
+				}
+				c.Insert(addr, state)
+			case 1:
+				c.SetState(addr, state)
+			case 2:
+				c.Invalidate(addr)
+			case 3:
+				_, want := scan(c)
+				got := c.FlushDirty()
+				if len(got) != len(want) {
+					t.Logf("step %d: FlushDirty returned %d lines, scan found %d", step, len(got), len(want))
+					return false
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Logf("step %d: FlushDirty[%d] = %#x, want %#x", step, i, got[i], want[i])
+						return false
+					}
+				}
+			}
+			count, dirty := scan(c)
+			if c.count != count {
+				t.Logf("step %d: counts %v, scan %v", step, c.count, count)
+				return false
+			}
+			if c.DirtyCount() != len(dirty) {
+				t.Logf("step %d: DirtyCount %d, scan %d", step, c.DirtyCount(), len(dirty))
+				return false
+			}
+			if c.ValidCount() != count[Shared]+count[Exclusive]+count[Modified] {
+				t.Logf("step %d: ValidCount %d, scan %v", step, c.ValidCount(), count)
+				return false
+			}
+			var excl []uint64
+			c.EachExclusive(func(a uint64) { excl = append(excl, a) })
+			if len(excl) != count[Exclusive] {
+				t.Logf("step %d: EachExclusive visited %d, scan %d", step, len(excl), count[Exclusive])
+				return false
+			}
+			for _, a := range excl {
+				if st, _ := c.Peek(a); st != Exclusive {
+					t.Logf("step %d: EachExclusive visited %#x in state %v", step, a, st)
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// EachExclusive lets the callback downgrade the line it is given, and
+// still visits every Exclusive line exactly once, in set and way order.
+func TestEachExclusiveDowngradeInPlace(t *testing.T) {
+	c := l2()
+	c.Insert(0x0C0, Exclusive)
+	c.Insert(0x040, Exclusive)
+	c.Insert(0x080, Shared)
+	c.Insert(0x000, Modified)
+	var seen []uint64
+	c.EachExclusive(func(a uint64) {
+		seen = append(seen, a)
+		c.SetState(a, Shared)
+	})
+	if len(seen) != 2 || seen[0] != 0x040 || seen[1] != 0x0C0 {
+		t.Fatalf("visited %#x, want [0x40 0xc0]", seen)
+	}
+	if c.count[Exclusive] != 0 || c.count[Shared] != 3 || c.DirtyCount() != 1 {
+		t.Fatalf("counts after downgrade = %v", c.count)
+	}
+	c.Clear()
+	if c.count != [4]int{Invalid: 1024} || c.FlushDirty() != nil {
+		t.Fatalf("Clear left counts %v", c.count)
+	}
+}

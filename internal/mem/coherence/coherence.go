@@ -592,23 +592,24 @@ func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency s
 }
 
 // downgradeExclusives converts node-owned clean Exclusive directory entries
-// to Shared{node}.
+// to Shared{node}. It walks node's L2 rather than the directory: every
+// dirExclusive entry's owner holds the line in its L2 (fills, evictions and
+// invalidations keep the two in step), and the dirty lines have just been
+// flushed, so the owner's Exclusive L2 lines are exactly the entries to
+// downgrade.
 func (p *Protocol) downgradeExclusives(node int) {
-	for line, e := range p.dir {
-		if e.state == dirExclusive && e.owner == node {
-			if st, ok := p.l2s[node].Peek(line); ok && st == cache.Exclusive {
-				p.l1s[node].SetState(line, cache.Shared)
-				p.l2s[node].SetState(line, cache.Shared)
-				e.state = dirShared
-				e.sharers.clear()
-				e.sharers.add(node)
-			} else if !ok {
-				// Directory thinks node owns it but the cache dropped it
-				// (shouldn't happen given evict bookkeeping); clean up.
-				delete(p.dir, line)
-			}
+	l1, l2 := p.l1s[node], p.l2s[node]
+	l2.EachExclusive(func(line uint64) {
+		e := p.dir[line]
+		if e == nil || e.state != dirExclusive || e.owner != node {
+			return
 		}
-	}
+		l1.SetState(line, cache.Shared)
+		l2.SetState(line, cache.Shared)
+		e.state = dirShared
+		e.sharers.clear()
+		e.sharers.add(node)
+	})
 }
 
 // DirtyLines reports how many dirty lines node currently holds (used by the
