@@ -23,10 +23,8 @@
 //	thriftybench -nodes 16 -seed 7    # smaller machine, different seed
 //	thriftybench -all -out results    # also write text + CSV + JSON files
 //	thriftybench -all -j 1            # sequential (identical output)
-//	thriftybench -bench-json -out results  # record the Go microbenchmark
-//	                                  # suite as BENCH_runtime.json + BENCH_wheel.json + BENCH_sim.json
-//	thriftybench -bench-diff out/BENCH_runtime.json  # compare a recorded run
-//	                                  # against the numbers in README.md (informational)
+//
+// Performance is measured by the benchmark under bench/ (bash bench/run.sh).
 package main
 
 import (
@@ -40,7 +38,6 @@ import (
 
 	"thriftybarrier/internal/core"
 	"thriftybarrier/internal/harness"
-	"thriftybarrier/internal/harness/microbench"
 	"thriftybarrier/internal/power"
 )
 
@@ -68,13 +65,11 @@ func main() {
 		timeout   = flag.Duration("timeout", 2*time.Minute, "per-run wall-clock limit; a wedged run is skipped with a diagnostic (0 = no limit)")
 		jsonOut   = flag.Bool("json", true, "with -out, write a machine-readable .json twin next to every text artifact")
 		progress  = flag.Bool("progress", true, "report per-run completion on stderr")
-		benchNow  = flag.Bool("bench-json", false, "run the Go microbenchmark suite and write BENCH_runtime.json + BENCH_wheel.json + BENCH_sim.json (into -out, or the current directory)")
-		benchDiff = flag.String("bench-diff", "", "compare a recorded BENCH_runtime.json (and the BENCH_wheel.json/BENCH_sim.json next to it) against the wake-up fabric and event-engine numbers in README.md; informational — deltas go to stderr and never fail the run")
 	)
 	flag.Parse()
 
 	if !*table1 && !*table2 && !*table3 && !*fig3 && !*fig5 && !*fig6 && !*summary && !*scaling && !*coreScale &&
-		*ablation == "" && *sens == "" && *ext == "" && *markdown == "" && !*benchNow && *benchDiff == "" {
+		*ablation == "" && *sens == "" && *ext == "" && *markdown == "" {
 		*all = true
 	}
 	if *all {
@@ -91,24 +86,6 @@ func main() {
 	arch := core.DefaultArch().WithNodes(*nodes)
 	if *observer >= *nodes {
 		*observer = *nodes - 1
-	}
-
-	if *benchNow {
-		if err := writeBenchJSON(*outDir, *progress); err != nil {
-			fatal(err)
-		}
-	}
-	if *benchDiff != "" {
-		// File errors are fatal (a broken CI wiring should be visible);
-		// the comparison itself only informs.
-		if err := diffBenchReadme(*benchDiff, "README.md", os.Stderr); err != nil {
-			fatal(err)
-		}
-	}
-	if (*benchNow || *benchDiff != "") &&
-		!*all && !*table1 && !*table2 && !*table3 && !*fig3 && !*fig5 && !*fig6 && !*summary &&
-		!*scaling && !*coreScale && *ablation == "" && *sens == "" && *ext == "" && *markdown == "" {
-		return
 	}
 
 	runner := &harness.Runner{Jobs: *jobs, Timeout: *timeout}
@@ -389,53 +366,6 @@ func main() {
 		}
 		writeFile("BENCH_manifest.json", b)
 	}
-}
-
-// writeBenchJSON records the perf trajectory: it runs the in-process Go
-// microbenchmark suites (internal/harness/microbench) and writes
-// BENCH_runtime.json (goroutine-barrier arrival and rendezvous),
-// BENCH_wheel.json (the wake-up fabric's many-barrier sweep to 1M with
-// p99/p999 wake lateness) and BENCH_sim.json (event-engine
-// schedule/fire/cancel) so future changes can diff ns/op, allocs/op and
-// the custom metrics against a baseline.
-func writeBenchJSON(dir string, progress bool) error {
-	if dir == "" {
-		dir = "."
-	}
-	type suite struct {
-		Go         string              `json:"go"`
-		GOMAXPROCS int                 `json:"gomaxprocs"`
-		Results    []microbench.Result `json:"results"`
-	}
-	var report func(microbench.Result)
-	if progress {
-		report = func(r microbench.Result) {
-			fmt.Fprintf(os.Stderr, "thriftybench: bench %s: %.1f ns/op, %d allocs/op\n",
-				r.Name, r.NsPerOp, r.AllocsPerOp)
-		}
-	}
-	write := func(name string, specs []microbench.Spec) error {
-		s := suite{Go: runtime.Version(), GOMAXPROCS: runtime.GOMAXPROCS(0), Results: microbench.Run(specs, report)}
-		b, err := harness.MarshalArtifact(s)
-		if err != nil {
-			return err
-		}
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("wrote %s\n", filepath.Join(dir, name))
-		return nil
-	}
-	if err := write("BENCH_runtime.json", microbench.RuntimeSpecs()); err != nil {
-		return err
-	}
-	if err := write("BENCH_wheel.json", microbench.WheelSpecs()); err != nil {
-		return err
-	}
-	return write("BENCH_sim.json", microbench.SimSpecs())
 }
 
 func fatal(err error) {

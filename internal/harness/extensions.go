@@ -209,9 +209,9 @@ func MPExperiment(seed uint64) []MPRow {
 	for _, alg := range []mp.Algorithm{mp.TreeBarrier, mp.DisseminationBarrier} {
 		c := cfg
 		c.Algorithm = alg
-		base := mp.MustNewMachine(c, mp.Baseline()).Run(prog)
+		base := mp.MustNewMachine(c, mp.Baseline()).RunParallel(prog, 1)
 		for _, opts := range []mp.Options{mp.Baseline(), mp.Thrifty(), mp.Oracle()} {
-			res := mp.MustNewMachine(c, opts).Run(prog)
+			res := mp.MustNewMachine(c, opts).RunParallel(prog, 1)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, MPRow{
 				Variant: opts.Name + " (" + alg.String() + ")",

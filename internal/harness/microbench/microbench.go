@@ -1,7 +1,6 @@
-// Package microbench defines the repo's performance-trajectory
-// microbenchmarks once, so `go test -bench` (interactive runs) and
-// `cmd/thriftybench -bench-json` (the recorded BENCH_*.json baselines)
-// measure exactly the same code.
+// Package microbench defines the repo's microbenchmarks once, so the root
+// module's `go test -bench` and the benchmark under bench/ measure exactly
+// the same code.
 //
 // The suite has three parts: the public goroutine barrier's arrival path
 // (lock-free flat word and combining tree, against a mutex-serialized
@@ -25,45 +24,10 @@ import (
 	"thriftybarrier/thrifty"
 )
 
-// Spec names one benchmark for the JSON trajectory.
+// Spec names one benchmark of a suite.
 type Spec struct {
 	Name  string
 	Bench func(*testing.B)
-}
-
-// Result is one benchmark's measurement, shaped for BENCH_*.json.
-type Result struct {
-	Name        string             `json:"name"`
-	N           int                `json:"n"`
-	NsPerOp     float64            `json:"ns_op"`
-	AllocsPerOp int64              `json:"allocs_op"`
-	BytesPerOp  int64              `json:"bytes_op"`
-	Metrics     map[string]float64 `json:"metrics,omitempty"`
-}
-
-// Run executes each spec under the testing harness's iteration controller
-// and returns the measurements. A non-nil progress callback observes each
-// result as it lands (the suites take tens of seconds end to end).
-func Run(specs []Spec, progress func(Result)) []Result {
-	out := make([]Result, 0, len(specs))
-	for _, s := range specs {
-		r := testing.Benchmark(s.Bench)
-		res := Result{
-			Name:        s.Name,
-			N:           r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-		}
-		if len(r.Extra) > 0 {
-			res.Metrics = r.Extra
-		}
-		if progress != nil {
-			progress(res)
-		}
-		out = append(out, res)
-	}
-	return out
 }
 
 // RuntimeSpecs is the goroutine-barrier half of the suite: the simulated
@@ -100,28 +64,6 @@ func SizeLabel(n int) string {
 	default:
 		return strconv.Itoa(n)
 	}
-}
-
-// WheelSpecs is the wake-up fabric third of the suite (BENCH_wheel.json):
-// the many-barrier arm/cancel sweep, wheel versus the per-waiter
-// runtime-timer baseline it replaced, carried up to the million-barrier
-// regime. Past 10k resident the baseline drops out — a million live
-// time.Timer values is not a viable comparison point, which is the
-// regime the wheel exists for. Every entry also records p99/p999
-// internal wake-up delivery lateness.
-func WheelSpecs() []Spec {
-	var specs []Spec
-	for _, n := range []int{100, 1000, 10000} {
-		specs = append(specs,
-			Spec{"ManyBarriers/wheel-" + strconv.Itoa(n) + "x16", WheelManyBarriers(n, 16)},
-			Spec{"ManyBarriers/timer-" + strconv.Itoa(n) + "x16", TimerManyBarriers(n, 16)},
-		)
-	}
-	for _, n := range []int{100_000, 1_000_000} {
-		specs = append(specs,
-			Spec{"ManyBarriers/wheel-" + strconv.Itoa(n) + "x16", WheelManyBarriers(n, 16)})
-	}
-	return specs
 }
 
 // SimSpecs is the event-engine half of the suite.

@@ -13,7 +13,10 @@
 //     coherence while the CPU sleeps: a dormant CPU never has to forward.
 //   - External wake-up: the arrival of the release broadcast at a node's
 //     NIC (the analogue of the barrier-flag invalidation).
-//   - Internal wake-up: a NIC timer armed with the predicted stall.
+//   - Internal wake-up: a NIC timer armed with the predicted stall. A node
+//     learns of the release only when the completion message reaches its
+//     NIC, so whether a timer wake-up was early or late is decided there,
+//     never from the root's state.
 //   - BIT bookkeeping: the root measures BIT between its own release
 //     instants and carries it in the broadcast payload, so every node
 //     reconstructs its local release timestamp without a global clock —
@@ -23,6 +26,10 @@
 // Power uses the same calibrated model and Table 3 sleep states; there are
 // no caches to flush, so deep states carry no flush cost here (their NICs
 // buffer like the cache controller buffers clean invalidations).
+//
+// Machine.RunParallel is the one way to run a program: every inter-rank
+// interaction is a message event on the conservative parallel engine, and
+// the result is bit-identical at every shard count.
 package mp
 
 import (
@@ -185,21 +192,14 @@ type Stats struct {
 	Disables      int
 }
 
-// Machine is the simulated cluster.
+// Machine is the simulated cluster: its configuration and the immutable
+// topology every run shares. All run state lives in the run itself (see
+// RunParallel), so one Machine can serve any number of runs.
 type Machine struct {
-	cfg    Config
-	opts   Options
-	engine *sim.Engine
-	net    *noc.Network
-	model  *power.Model
-	table  *predict.Table
-
-	prog     Program
-	brts     []sim.Cycles
-	tl       []*sim.Timeline
-	finish   []sim.Cycles
-	episodes map[int]*episode
-	stats    Stats
+	cfg   Config
+	opts  Options
+	net   *noc.Network
+	model *power.Model
 
 	parent   []int
 	children [][]int
@@ -223,22 +223,12 @@ func NewMachine(cfg Config, opts Options) (*Machine, error) {
 		model = power.NewModel(power.DefaultUnitEnergies(), power.Table3())
 	}
 	m := &Machine{
-		cfg:      cfg,
-		opts:     opts,
-		engine:   sim.NewEngine(),
-		net:      noc.New(cfg.NoC),
-		model:    model,
-		table:    predict.NewTable(opts.Predictor),
-		brts:     make([]sim.Cycles, cfg.Nodes),
-		tl:       make([]*sim.Timeline, cfg.Nodes),
-		finish:   make([]sim.Cycles, cfg.Nodes),
-		episodes: make(map[int]*episode),
-	}
-	for i := range m.tl {
-		m.tl[i] = &sim.Timeline{}
+		cfg:   cfg,
+		opts:  opts,
+		net:   noc.New(cfg.NoC),
+		model: model,
 	}
 	m.buildTree()
-	m.stats.Sleeps = make(map[string]int)
 	return m, nil
 }
 
@@ -274,361 +264,4 @@ func (m *Machine) buildTree() {
 		}
 	}
 	walk(0, 0)
-}
-
-// episode is one dynamic barrier instance.
-type episode struct {
-	phase    int
-	pc       uint64
-	arrived  int
-	released bool
-	release  sim.Cycles // at the root (rank 0's completion)
-	// recvAt[r] is when the completion signal reaches rank r's NIC.
-	recvAt []sim.Cycles
-	bit    sim.Cycles
-	// subtreeAt[r] is when r's subtree reduction reaches r's NIC (own
-	// arrival folded with children); set as arrivals stream in.
-	subtreeAt []sim.Cycles
-	// arrivalAt[r] records each rank's local arrival (dissemination).
-	arrivalAt []sim.Cycles
-	pending   []int // outstanding children + self per rank
-	waiters   []*waiter
-	departed  int
-}
-
-type waiter struct {
-	rank      int
-	readyAt   sim.Cycles
-	sleeping  bool
-	state     power.SleepState
-	sleepFrom sim.Cycles
-	timer     sim.Handle
-	woken     bool
-	wokeReady sim.Cycles
-	departed  bool
-	oracle    bool
-}
-
-// Run executes prog and returns the measurement.
-func (m *Machine) Run(prog Program) Result {
-	if len(prog) == 0 {
-		return Result{}
-	}
-	m.prog = prog
-	for r := 0; r < m.cfg.Nodes; r++ {
-		r := r
-		m.engine.At(0, func() { m.startPhase(r, 0, 0) })
-	}
-	m.engine.Run()
-	var span sim.Cycles
-	for _, f := range m.finish {
-		if f > span {
-			span = f
-		}
-	}
-	return Result{
-		Breakdown: energy.Collect(m.tl, span),
-		Span:      span,
-		Stats:     m.stats,
-	}
-}
-
-func (m *Machine) startPhase(r, k int, at sim.Cycles) {
-	if k >= len(m.prog) {
-		m.finish[r] = at
-		return
-	}
-	dur := m.prog[k].Work(r)
-	if dur <= 0 {
-		dur = 1
-	}
-	m.tl[r].AddInterval(sim.StateCompute, dur, m.model.ComputePower())
-	arrive := at + dur
-	m.engine.At(arrive, func() { m.arrive(r, k, arrive) })
-}
-
-func (m *Machine) episodeFor(k int) *episode {
-	ep := m.episodes[k]
-	if ep == nil {
-		n := m.cfg.Nodes
-		ep = &episode{
-			phase:     k,
-			pc:        m.prog[k].PC,
-			subtreeAt: make([]sim.Cycles, n),
-			pending:   make([]int, n),
-			recvAt:    make([]sim.Cycles, n),
-			arrivalAt: make([]sim.Cycles, n),
-		}
-		for r := 0; r < n; r++ {
-			ep.pending[r] = len(m.children[r]) + 1
-		}
-		m.episodes[k] = ep
-	}
-	return ep
-}
-
-// arrive handles rank r's local arrival: fold into the NIC reduction and
-// decide how to wait.
-func (m *Machine) arrive(r, k int, now sim.Cycles) {
-	ep := m.episodeFor(k)
-	ep.arrived++
-
-	// Register the waiter and pick its strategy BEFORE folding: folding
-	// the last arrival propagates to the root and may release the episode
-	// synchronously, and the release resolves every registered waiter.
-	// Unlike the shared-memory barrier, even the last arriver waits here —
-	// for the reduction to reach the root and the broadcast to return.
-	w := &waiter{rank: r, readyAt: now}
-	ep.waiters = append(ep.waiters, w)
-	switch {
-	case len(m.opts.States) == 0:
-		m.stats.Spins++ // spin-polls; resolved at release
-	case m.opts.Oracle:
-		w.oracle = true
-	default:
-		m.decideSleep(ep, w, now)
-	}
-
-	ep.arrivalAt[r] = now
-	if m.cfg.Algorithm == DisseminationBarrier {
-		if ep.arrived == m.cfg.Nodes {
-			m.releaseDissemination(ep)
-		}
-		return
-	}
-	m.fold(ep, r, now)
-}
-
-// releaseDissemination resolves the log2(N)-round dissemination collective
-// once every rank has armed its NIC: round r completes for rank i when both
-// its own round r-1 and that of rank (i-2^r) mod N (whose signal travels
-// the network) are done.
-func (m *Machine) releaseDissemination(ep *episode) {
-	n := m.cfg.Nodes
-	cur := append([]sim.Cycles(nil), ep.arrivalAt...)
-	next := make([]sim.Cycles, n)
-	for dist := 1; dist < n; dist <<= 1 {
-		for i := 0; i < n; i++ {
-			from := (i - dist + n) % n
-			recv := cur[from] + m.net.Latency(from, i, m.cfg.MsgBytes)
-			t := cur[i]
-			if recv > t {
-				t = recv
-			}
-			next[i] = t + m.cfg.Combine
-		}
-		cur, next = next, cur
-	}
-	copy(ep.recvAt, cur)
-	m.resolveRelease(ep, cur[0])
-}
-
-// fold merges a subtree-completion at rank r into r's NIC state and
-// propagates up the tree when r's subtree is complete.
-func (m *Machine) fold(ep *episode, r int, at sim.Cycles) {
-	if at > ep.subtreeAt[r] {
-		ep.subtreeAt[r] = at
-	}
-	ep.pending[r]--
-	if ep.pending[r] > 0 {
-		return
-	}
-	done := ep.subtreeAt[r] + m.cfg.Combine
-	if p := m.parent[r]; p >= 0 {
-		lat := m.net.Latency(r, p, m.cfg.MsgBytes)
-		m.engine.At(done+lat, func() { m.fold(ep, p, done+lat) })
-		return
-	}
-	// Root subtree complete: release; the broadcast reaches each rank
-	// after its tree-path latency.
-	for r := 0; r < m.cfg.Nodes; r++ {
-		ep.recvAt[r] = done + m.depthLat[r]
-	}
-	m.resolveRelease(ep, done)
-}
-
-// decideSleep is the sleep() call on the cluster node.
-func (m *Machine) decideSleep(ep *episode, w *waiter, now sim.Cycles) {
-	if !m.table.Enabled(ep.pc, w.rank) {
-		m.stats.Spins++
-		return
-	}
-	bit, ok := m.table.Predict(ep.pc)
-	if !ok {
-		m.stats.Spins++
-		return
-	}
-	predictedWake := m.brts[w.rank] + bit
-	stall := predictedWake - now
-	fit := m.model.BestFit(stall, 0)
-	if !fit.OK {
-		m.stats.Spins++
-		return
-	}
-	st := fit.State
-	w.sleeping = true
-	w.state = st
-	m.tl[w.rank].AddInterval(sim.StateTransition, st.Transition, m.model.TransitionPower(st))
-	w.sleepFrom = now + st.Transition
-	m.stats.Sleeps[st.Name]++
-	wake := predictedWake - st.Transition
-	if wake < w.sleepFrom {
-		wake = w.sleepFrom
-	}
-	w.timer = m.engine.At(wake, func() { m.timerWake(ep, w, wake) })
-}
-
-// timerWake is the internal wake-up on the cluster node.
-func (m *Machine) timerWake(ep *episode, w *waiter, now sim.Cycles) {
-	if w.departed || w.woken {
-		return
-	}
-	w.woken = true
-	w.timer = sim.Handle{}
-	st := w.state
-	m.chargeSleep(w, now)
-	up := now + st.Transition
-	m.tl[w.rank].AddInterval(sim.StateTransition, st.Transition, m.model.TransitionPower(st))
-	w.wokeReady = up
-	recvAt := sim.MaxCycles
-	if ep.released {
-		recvAt = ep.recvAt[w.rank]
-	}
-	if ep.released && up >= recvAt {
-		// Late wake: the release broadcast already arrived.
-		m.stats.LateWakes++
-		m.depart(ep, w, up+m.cfg.NICWake)
-		return
-	}
-	// Early wake: residual spin-poll until the broadcast.
-	m.stats.EarlyWakes++
-	if ep.released {
-		// Broadcast en route: it lands at recvAt.
-		spin := recvAt + m.cfg.NICWake - up
-		if spin < 0 {
-			spin = 0
-		}
-		m.tl[w.rank].AddInterval(sim.StateSpin, spin, m.model.SpinPower())
-		m.depart(ep, w, recvAt+m.cfg.NICWake)
-		return
-	}
-	w.sleeping = false
-	w.readyAt = up // resolved at release as a spinner
-}
-
-func (m *Machine) chargeSleep(w *waiter, until sim.Cycles) {
-	if until > w.sleepFrom {
-		m.tl[w.rank].AddInterval(sim.StateSleep, until-w.sleepFrom, m.model.SleepPower(w.state))
-	}
-}
-
-// resolveRelease runs when the collective completes: measure BIT, update
-// the predictor, and resolve every waiter at its NIC's completion time
-// (the broadcast arrival for the tree, the final-round receive for
-// dissemination) — the completion message carries the BIT.
-func (m *Machine) resolveRelease(ep *episode, at sim.Cycles) {
-	ep.released = true
-	ep.release = at
-	ep.bit = at - m.brts[0]
-	m.stats.Episodes++
-	if len(m.opts.States) > 0 && !m.opts.Oracle {
-		m.table.Update(ep.pc, ep.bit)
-	}
-
-	for _, w := range ep.waiters {
-		w := w
-		recvAt := ep.recvAt[w.rank]
-		switch {
-		case w.oracle:
-			m.resolveOracle(ep, w, recvAt)
-		case w.sleeping && !w.woken:
-			// External wake-up: the broadcast reaches the NIC, which
-			// signals the CPU; exit transition on the critical path.
-			m.engine.At(recvAt, func() { m.externalWake(ep, w, recvAt) })
-		default:
-			// Spinner (or residual spinner): detects the message at
-			// arrival.
-			m.engine.At(recvAt, func() {
-				if w.departed {
-					return
-				}
-				dep := recvAt + m.cfg.NICWake
-				from := w.readyAt
-				if dep > from {
-					m.tl[w.rank].AddInterval(sim.StateSpin, dep-from, m.model.SpinPower())
-				}
-				m.depart(ep, w, dep)
-			})
-		}
-	}
-	// Late-arriving ranks (none in a barrier program: every rank arrives
-	// before the root completes, since the root needs all subtrees).
-}
-
-func (m *Machine) externalWake(ep *episode, w *waiter, at sim.Cycles) {
-	if w.departed || w.woken {
-		return
-	}
-	w.woken = true
-	m.engine.Cancel(w.timer)
-	w.timer = sim.Handle{}
-	if at < w.sleepFrom {
-		at = w.sleepFrom
-	}
-	m.chargeSleep(w, at)
-	st := w.state
-	m.tl[w.rank].AddInterval(sim.StateTransition, st.Transition, m.model.TransitionPower(st))
-	up := at + st.Transition
-	w.wokeReady = up
-	m.stats.ExternalWakes++
-	m.depart(ep, w, up+m.cfg.NICWake)
-}
-
-// resolveOracle settles a perfectly predicted waiter at broadcast arrival.
-func (m *Machine) resolveOracle(ep *episode, w *waiter, recvAt sim.Cycles) {
-	m.engine.At(recvAt, func() {
-		if w.departed {
-			return
-		}
-		stall := recvAt - w.readyAt
-		fit := m.model.BestFit(stall, 0)
-		if fit.OK {
-			st := fit.State
-			m.tl[w.rank].AddInterval(sim.StateTransition, st.Transition, m.model.TransitionPower(st))
-			m.tl[w.rank].AddInterval(sim.StateSleep, stall-2*st.Transition, m.model.SleepPower(st))
-			m.tl[w.rank].AddInterval(sim.StateTransition, st.Transition, m.model.TransitionPower(st))
-			m.stats.Sleeps[st.Name]++
-		} else if stall > 0 {
-			m.tl[w.rank].AddInterval(sim.StateSpin, stall, m.model.SpinPower())
-			m.stats.Spins++
-		}
-		m.depart(ep, w, recvAt+m.cfg.NICWake)
-	})
-}
-
-// depart finishes rank's episode: BRTS update, cut-off, next phase.
-func (m *Machine) depart(ep *episode, w *waiter, dep sim.Cycles) {
-	if w.departed {
-		return
-	}
-	w.departed = true
-	m.engine.Cancel(w.timer)
-	w.timer = sim.Handle{}
-	// BRTS reconstruction: the broadcast carried BIT_b.
-	m.brts[w.rank] += ep.bit
-
-	if w.sleeping && !w.oracle && m.opts.Cutoff > 0 && ep.bit > 0 {
-		skew := ep.recvAt[w.rank] - ep.release
-		penalty := w.wokeReady - (m.brts[w.rank] + skew)
-		if float64(penalty) > m.opts.Cutoff*float64(ep.bit) {
-			m.table.Disable(ep.pc, w.rank)
-			m.stats.Disables++
-		}
-	}
-
-	ep.departed++
-	if ep.departed == m.cfg.Nodes {
-		delete(m.episodes, ep.phase)
-	}
-	m.startPhase(w.rank, ep.phase+1, dep)
 }

@@ -53,21 +53,19 @@ func (r ParallelResult) MeanRoundLatency() sim.Cycles {
 // that rank's own events, so each rank's timeline is appended in a fixed
 // order and the floating-point sums never reassociate.
 //
-// RunParallel does not touch the Machine's sequential state: the legacy
-// Run remains byte-identical to its pre-parallel behaviour, and one Machine
-// can serve both. For Baseline and Oracle options the two paths are
-// semantically identical. Under the thrifty policy RunParallel's hybrid
-// wake-up is message-accurate — a timer wake-up only learns of the release
-// when the broadcast reaches its NIC, so a timer that fires after the root
-// released but before the local NIC heard about it counts as an early wake
-// (spinning out the residue) rather than consulting global release state
-// the node could not observe. The sequential path classifies that corner
-// from the root's perspective instead; results/extension_mp.txt keeps the
-// legacy accounting.
+// The hybrid wake-up is message-accurate: a node learns of the release only
+// when the completion message reaches its NIC, so a timer wake-up is
+// classified early or late against that arrival, never against the root's
+// release, and no rank departs before its CPU is back up.
 func (m *Machine) RunParallel(prog Program, shards int) ParallelResult {
 	if len(prog) == 0 {
 		return ParallelResult{}
 	}
+	return m.run(prog, shards).result()
+}
+
+// run executes prog and returns the finished run state.
+func (m *Machine) run(prog Program, shards int) *prun {
 	n := m.cfg.Nodes
 	if shards < 1 {
 		shards = 1
@@ -90,7 +88,7 @@ func (m *Machine) RunParallel(prog Program, shards int) ParallelResult {
 		brts:     make([]sim.Cycles, n),
 		tl:       make([]*sim.Timeline, n),
 		finish:   make([]sim.Cycles, n),
-		episodes: make(map[int]*pepisode),
+		episodes: make(map[int]*episode),
 		stats:    make([]Stats, shards),
 		rounds:   make([]int, shards),
 		rlat:     make([]sim.Cycles, shards),
@@ -107,7 +105,12 @@ func (m *Machine) RunParallel(prog Program, shards int) ParallelResult {
 		p.at(r, 0, func() { p.startPhase(r, 0, 0) })
 	}
 	pe.Run()
+	return p
+}
 
+// result merges the per-rank timelines and per-shard accumulators.
+func (p *prun) result() ParallelResult {
+	n := p.m.cfg.Nodes
 	var span sim.Cycles
 	for _, f := range p.finish {
 		if f > span {
@@ -123,7 +126,7 @@ func (m *Machine) RunParallel(prog Program, shards int) ParallelResult {
 		PerNodeSpin:   make([]sim.Cycles, n),
 	}
 	res.Stats.Sleeps = make(map[string]int)
-	for s := 0; s < shards; s++ {
+	for s := range p.stats {
 		st := &p.stats[s]
 		res.Stats.Episodes += st.Episodes
 		res.Stats.Spins += st.Spins
@@ -144,12 +147,12 @@ func (m *Machine) RunParallel(prog Program, shards int) ParallelResult {
 	return res
 }
 
-// prun is the state of one RunParallel invocation. It deliberately shares
-// nothing mutable with the Machine: per-rank state (brts, timelines,
-// finish) is touched only by that rank's events, which all execute on the
-// rank's owner shard; cross-rank state is either confined to one shard by
-// construction (fold state lives on the folding rank's owner) or guarded
-// (the episode map, the predictor table).
+// prun is the state of one run. It shares nothing mutable with the
+// Machine: per-rank state (brts, timelines, finish) is touched only by that
+// rank's events, which all execute on the rank's owner shard; cross-rank
+// state is either confined to one shard by construction (fold state lives
+// on the folding rank's owner) or guarded (the episode map, the predictor
+// table).
 type prun struct {
 	m      *Machine
 	pe     *sim.ParallelEngine
@@ -172,7 +175,7 @@ type prun struct {
 	finish []sim.Cycles
 
 	epMu     sync.Mutex
-	episodes map[int]*pepisode
+	episodes map[int]*episode
 
 	// Per-shard accumulators, merged after the run; sums are invariant to
 	// which shard an increment landed on.
@@ -181,8 +184,8 @@ type prun struct {
 	rlat   []sim.Cycles
 }
 
-// pepisode is one dynamic barrier instance of a parallel run.
-type pepisode struct {
+// episode is one dynamic barrier instance.
+type episode struct {
 	phase int
 	pc    uint64
 	// arrived is the dissemination trigger: the final Add observes every
@@ -196,11 +199,11 @@ type pepisode struct {
 	// arrivalAt[r] is written by rank r's arrive, read by the resolver
 	// (which happens-after every arrival in both collectives).
 	arrivalAt []sim.Cycles
-	ws        []pwaiter // indexed by rank; each entry owned by its rank's shard
+	ws        []waiter // indexed by rank; each entry owned by its rank's shard
 }
 
-// pwaiter is one rank's waiting state within an episode.
-type pwaiter struct {
+// waiter is one rank's waiting state within an episode.
+type waiter struct {
 	readyAt   sim.Cycles
 	oracle    bool
 	slept     bool // entered a sleep state this episode
@@ -262,19 +265,19 @@ func (p *prun) startPhase(r, k int, atTime sim.Cycles) {
 	p.at(r, arrive, func() { p.arrive(r, k, arrive) })
 }
 
-func (p *prun) episodeFor(k int) *pepisode {
+func (p *prun) episodeFor(k int) *episode {
 	p.epMu.Lock()
 	defer p.epMu.Unlock()
 	ep := p.episodes[k]
 	if ep == nil {
 		n := p.m.cfg.Nodes
-		ep = &pepisode{
+		ep = &episode{
 			phase:     k,
 			pc:        p.prog[k].PC,
 			subtreeAt: make([]sim.Cycles, n),
 			pending:   make([]int32, n),
 			arrivalAt: make([]sim.Cycles, n),
-			ws:        make([]pwaiter, n),
+			ws:        make([]waiter, n),
 		}
 		for r := 0; r < n; r++ {
 			ep.pending[r] = int32(len(p.m.children[r]) + 1)
@@ -284,9 +287,10 @@ func (p *prun) episodeFor(k int) *pepisode {
 	return ep
 }
 
-// arrive handles rank r's local arrival, mirroring Machine.arrive: register
-// the waiter and pick its strategy first, because folding the last arrival
-// can resolve the episode synchronously.
+// arrive handles rank r's local arrival: register the waiter and pick its
+// strategy first, because folding the last arrival can resolve the episode
+// synchronously. Unlike the shared-memory barrier, even the last arriver
+// waits — for the reduction to reach the root and the release to return.
 func (p *prun) arrive(r, k int, now sim.Cycles) {
 	ep := p.episodeFor(k)
 	w := &ep.ws[r]
@@ -313,10 +317,11 @@ func (p *prun) arrive(r, k int, now sim.Cycles) {
 	p.fold(ep, r, now)
 }
 
-// fold mirrors Machine.fold on the parallel engine: the up-tree hop is a
-// send to the parent's owner shard, and the hop latency is at least the
+// fold merges a subtree completion at rank r into r's NIC state and, once
+// r's subtree is complete, sends it up the tree. The up-tree hop is a send
+// to the parent's owner shard, and the hop latency is at least the
 // lookahead, so the conservative invariant holds by construction.
-func (p *prun) fold(ep *pepisode, r int, atTime sim.Cycles) {
+func (p *prun) fold(ep *episode, r int, atTime sim.Cycles) {
 	if atTime > ep.subtreeAt[r] {
 		ep.subtreeAt[r] = atTime
 	}
@@ -333,9 +338,9 @@ func (p *prun) fold(ep *pepisode, r int, atTime sim.Cycles) {
 	p.resolveTree(ep, r, done)
 }
 
-// resolveTree completes the tree collective at the root: recvAt[r] is the
-// broadcast arrival down the tree, exactly as in the sequential machine.
-func (p *prun) resolveTree(ep *pepisode, src int, done sim.Cycles) {
+// resolveTree completes the tree collective at the root: rank r receives
+// the release after its broadcast path latency down the tree.
+func (p *prun) resolveTree(ep *episode, src int, done sim.Cycles) {
 	bit := done - p.brts[0]
 	p.resolve(ep, src, done, bit, func(r int) sim.Cycles {
 		return done + p.m.depthLat[r]
@@ -343,8 +348,10 @@ func (p *prun) resolveTree(ep *pepisode, src int, done sim.Cycles) {
 }
 
 // resolveDissemination replays the log2(N)-round dissemination schedule
-// from the recorded arrivals, identically to Machine.releaseDissemination.
-func (p *prun) resolveDissemination(ep *pepisode, trigger int) {
+// from the recorded arrivals once every rank has armed its NIC: round r
+// completes for rank i when both its own round r-1 and that of rank
+// (i-2^r) mod N (whose signal travels the network) are done.
+func (p *prun) resolveDissemination(ep *episode, trigger int) {
 	n := p.m.cfg.Nodes
 	cur := append([]sim.Cycles(nil), ep.arrivalAt...)
 	next := make([]sim.Cycles, n)
@@ -371,7 +378,7 @@ func (p *prun) resolveDissemination(ep *pepisode, trigger int) {
 // broadcast path for the tree, the final dissemination round otherwise), so
 // they clear the lookahead check; the resolving rank's own delivery is
 // always shard-local.
-func (p *prun) resolve(ep *pepisode, src int, release, bit sim.Cycles, recv func(int) sim.Cycles) {
+func (p *prun) resolve(ep *episode, src int, release, bit sim.Cycles, recv func(int) sim.Cycles) {
 	sh := p.owner[src]
 	p.stats[sh].Episodes++
 	if len(p.m.opts.States) > 0 && !p.m.opts.Oracle {
@@ -404,8 +411,10 @@ func (p *prun) resolve(ep *pepisode, src int, release, bit sim.Cycles, recv func
 	}
 }
 
-// decideSleep mirrors Machine.decideSleep against the run-local table.
-func (p *prun) decideSleep(ep *pepisode, r int, w *pwaiter, now sim.Cycles) {
+// decideSleep is the sleep() call on the cluster node: predict the stall
+// from the reconstructed BRTS, pick the best-fitting state, and arm the NIC
+// timer so the CPU is back up at the predicted release.
+func (p *prun) decideSleep(ep *episode, r int, w *waiter, now sim.Cycles) {
 	sh := p.owner[r]
 	p.tableMu.Lock()
 	enabled := p.table.Enabled(ep.pc, r)
@@ -440,12 +449,11 @@ func (p *prun) decideSleep(ep *pepisode, r int, w *pwaiter, now sim.Cycles) {
 	w.timer = p.at(r, wake, func() { p.timerWake(r, w, wake) })
 }
 
-// timerWake is the node's internal wake-up. Unlike the sequential path it
-// consults no global release state — the node cannot know whether the root
-// released until the broadcast reaches its NIC — so it only transitions the
-// CPU back up and records when it is ready; the delivery classifies the
-// wake as early or late against the message arrival.
-func (p *prun) timerWake(r int, w *pwaiter, now sim.Cycles) {
+// timerWake is the node's internal wake-up. The node cannot know whether
+// the root released until the broadcast reaches its NIC, so it only
+// transitions the CPU back up and records when it is ready; the delivery
+// classifies the wake as early or late against the message arrival.
+func (p *prun) timerWake(r int, w *waiter, now sim.Cycles) {
 	if w.departed || w.woken || !w.sleeping {
 		return
 	}
@@ -458,7 +466,7 @@ func (p *prun) timerWake(r int, w *pwaiter, now sim.Cycles) {
 	w.wokeReady = now + st.Transition
 }
 
-func (p *prun) chargeSleep(r int, w *pwaiter, until sim.Cycles) {
+func (p *prun) chargeSleep(r int, w *waiter, until sim.Cycles) {
 	if until > w.sleepFrom {
 		p.tl[r].AddInterval(sim.StateSleep, until-w.sleepFrom, p.m.model.SleepPower(w.state))
 	}
@@ -466,7 +474,7 @@ func (p *prun) chargeSleep(r int, w *pwaiter, until sim.Cycles) {
 
 // delivered handles the release message reaching rank r's NIC at recvAt,
 // settling whichever waiting strategy the rank chose.
-func (p *prun) delivered(ep *pepisode, r int, recvAt, release, bit sim.Cycles) {
+func (p *prun) delivered(ep *episode, r int, recvAt, release, bit sim.Cycles) {
 	w := &ep.ws[r]
 	if w.departed {
 		return
@@ -529,12 +537,10 @@ func (p *prun) delivered(ep *pepisode, r int, recvAt, release, bit sim.Cycles) {
 	}
 }
 
-// depart mirrors Machine.depart: BRTS update, overprediction cut-off, next
-// phase. The cut-off applies to every rank that actually slept this episode
-// (w.slept) rather than to the sequential path's sleeping-at-depart subset;
-// the difference is confined to the same timer corner the wake-up
-// classification note above describes.
-func (p *prun) depart(ep *pepisode, r int, w *pwaiter, dep, release, bit, recvAt sim.Cycles) {
+// depart finishes rank r's episode: BRTS reconstruction from the BIT the
+// release carried, the §3.3.3 overprediction cut-off for every rank that
+// slept this episode, and the next phase.
+func (p *prun) depart(ep *episode, r int, w *waiter, dep, release, bit, recvAt sim.Cycles) {
 	w.departed = true
 	if w.timer != (sim.Handle{}) {
 		p.pe.Shard(p.owner[r]).Cancel(w.timer)

@@ -1,9 +1,11 @@
 package mp
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
+	"thriftybarrier/internal/energy"
 	"thriftybarrier/internal/sim"
 )
 
@@ -28,41 +30,72 @@ func jitterProgram(pc uint64, phases int, base sim.Cycles) Program {
 	return prog
 }
 
-// TestRunParallelMatchesRunBaseline pins the golden-reference policy where
-// the two paths are semantically identical: with no sleep states there is
-// no timer, so a single-shard parallel run must reproduce the sequential
-// Result exactly — breakdown, span, and stats, bit for bit.
+// The three TestRunParallelMatchesRun* tests pin single-shard runs to the
+// Results the former sequential Run produced for the same programs —
+// breakdown, span and stats, bit for bit. Baseline and the oracle arm no
+// timer, so the message-accurate wake-up classification cannot move them.
+
+func checkRecorded(t *testing.T, name string, got, want Result) {
+	t.Helper()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: RunParallel(prog, 1) = %#v, recorded %#v", name, got, want)
+	}
+}
+
 func TestRunParallelMatchesRunBaseline(t *testing.T) {
+	recorded := map[int]Result{
+		8: {
+			Breakdown: energy.Breakdown{
+				Energy: [sim.NumStates]float64{0.43820349664, 0.44985892016, 0, 0},
+				Time:   [sim.NumStates]sim.Cycles{5843960, 7049920, 0, 0},
+				Span:   1611810,
+			},
+			Span:  1611810,
+			Stats: Stats{Episodes: 12, Spins: 96, Sleeps: map[string]int{}},
+		},
+		64: {
+			Breakdown: energy.Breakdown{
+				Energy: [sim.NumStates]float64{3.0883777804880004, 9.661680467029498, 0, 0},
+				Time:   [sim.NumStates]sim.Cycles{41187157, 151412079, 0, 0},
+				Span:   3009455,
+			},
+			Span:  3009455,
+			Stats: Stats{Episodes: 12, Spins: 768, Sleeps: map[string]int{}},
+		},
+	}
 	for _, nodes := range []int{8, 64} {
 		prog := jitterProgram(0x40, 12, 50_000)
-		seqRes := MustNewMachine(testConfig(nodes), Baseline()).Run(prog)
-		parRes := MustNewMachine(testConfig(nodes), Baseline()).RunParallel(prog, 1)
-		if !reflect.DeepEqual(seqRes, parRes.Result) {
-			t.Fatalf("nodes=%d: parallel(1) = %+v, sequential = %+v", nodes, parRes.Result, seqRes)
-		}
+		got := MustNewMachine(testConfig(nodes), Baseline()).RunParallel(prog, 1)
+		checkRecorded(t, fmt.Sprintf("nodes=%d", nodes), got.Result, recorded[nodes])
 	}
 }
 
-// TestRunParallelMatchesRunOracle is the same golden check for the oracle,
-// which sleeps without a timer and so is also path-identical.
 func TestRunParallelMatchesRunOracle(t *testing.T) {
 	prog := jitterProgram(0x80, 12, 50_000)
-	seqRes := MustNewMachine(testConfig(16), Oracle()).Run(prog)
-	parRes := MustNewMachine(testConfig(16), Oracle()).RunParallel(prog, 1)
-	if !reflect.DeepEqual(seqRes, parRes.Result) {
-		t.Fatalf("parallel(1) = %+v, sequential = %+v", parRes.Result, seqRes)
-	}
+	got := MustNewMachine(testConfig(16), Oracle()).RunParallel(prog, 1)
+	checkRecorded(t, "oracle", got.Result, Result{
+		Breakdown: energy.Breakdown{
+			Energy: [sim.NumStates]float64{0.8622394413360001, 0.0023398672245, 0.3632390999999999, 0.03327530025600003},
+			Time:   [sim.NumStates]sim.Cycles{11498979, 36669, 9450000, 17587368},
+			Span:   2411349,
+		},
+		Span:  2411349,
+		Stats: Stats{Episodes: 12, Spins: 57, Sleeps: map[string]int{"Sleep3": 135}},
+	})
 }
 
-// TestRunParallelMatchesRunDissemination covers the dissemination
-// collective's golden equality under Baseline.
 func TestRunParallelMatchesRunDissemination(t *testing.T) {
 	prog := jitterProgram(0xC0, 10, 40_000)
-	seqRes := MustNewMachine(dissemConfig(16), Baseline()).Run(prog)
-	parRes := MustNewMachine(dissemConfig(16), Baseline()).RunParallel(prog, 1)
-	if !reflect.DeepEqual(seqRes, parRes.Result) {
-		t.Fatalf("parallel(1) = %+v, sequential = %+v", parRes.Result, seqRes)
-	}
+	got := MustNewMachine(dissemConfig(16), Baseline()).RunParallel(prog, 1)
+	checkRecorded(t, "dissemination", got.Result, Result{
+		Breakdown: energy.Breakdown{
+			Energy: [sim.NumStates]float64{0.57009735328, 1.0759445743799998, 0, 0},
+			Time:   [sim.NumStates]sim.Cycles{7602920, 16861560, 0, 0},
+			Span:   1529146,
+		},
+		Span:  1529146,
+		Stats: Stats{Episodes: 10, Spins: 160, Sleeps: map[string]int{}},
+	})
 }
 
 // TestRunParallelDeterminismAcrossShards pins the tentpole contract: the
@@ -171,7 +204,8 @@ func TestRunParallelShardClamp(t *testing.T) {
 	}
 }
 
-// TestRunParallelEmptyProgram mirrors the sequential contract.
+// TestRunParallelEmptyProgram checks an empty program runs no episode at
+// any shard count.
 func TestRunParallelEmptyProgram(t *testing.T) {
 	res := MustNewMachine(testConfig(8), Baseline()).RunParallel(nil, 4)
 	if res.Span != 0 || res.Rounds != 0 {
