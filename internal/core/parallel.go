@@ -91,7 +91,7 @@ type pnode struct {
 	finish sim.Cycles
 
 	pendStart sim.Cycles // arrival time at the current barrier
-	w         *pwaiter
+	w         pwaiter    // the current (or, once departed, last) wait
 
 	forbidden map[uint64]bool // §3.3.3 cut-off: prediction disabled per PC
 
@@ -150,8 +150,11 @@ type pReg struct {
 }
 
 // pwaiter is a thread's in-flight wait, the message-accurate analogue of
-// the sequential machine's waiter.
+// the sequential machine's waiter. Each node reuses one across its waits;
+// gen numbers them, and messages sent for a wait carry its gen, so a
+// reply that outlives its wait is recognised and dropped.
 type pwaiter struct {
+	gen     int32
 	phase   int
 	pc      uint64
 	kind    waitKind
@@ -282,6 +285,7 @@ func NewParallelMachine(arch Arch, opts Options) (*ParallelMachine, error) {
 		m.nodes[t] = &pnode{
 			id:        t,
 			cpu:       cpu.New(t&(rn-1), arch.CPU, m.regions[t/rn].proto, model, arch.Activity),
+			w:         pwaiter{departed: true}, // no wait in progress
 			forbidden: make(map[uint64]bool),
 		}
 	}
@@ -329,30 +333,137 @@ func (m *ParallelMachine) orderKey(node int) uint64 {
 	return uint64(node)<<32 | uint64(nd.seq)
 }
 
-// at schedules fn on node's own shard (a local continuation or timer).
-func (m *ParallelMachine) at(node int, when sim.Cycles, fn func()) sim.Handle {
-	o := m.orderKey(node)
-	if m.eng != nil {
-		return m.eng.AtOrdered(when, o, fn)
+// Message kinds. Every event of the machine is a sim.Msg of one of these
+// kinds, addressed to the machine's handler; A is the node the message
+// is about (the thread t), B its phase k, and C, for messages sent on
+// behalf of a wait, the wait's gen. The other operands are listed per
+// kind.
+const (
+	msgStart         uint8 = iota // start phase at T0
+	msgArrive                     // arrive at the barrier at T0
+	msgCheckin                    // home: check into level C, group D, arriving T0, BRTS T1
+	msgCheckinReply               // level C, group D granted at T0; BIT T1, BRTS T2
+	msgQuery                      // home: BIT query sent T0, arriving T1
+	msgQueryReply                 // query sent T0, answered T1 with BIT T2
+	msgFlagRead                   // home: flag read for purpose D, sent T0, arriving T1
+	msgFlagReadReply              // flag read for purpose D, sent T0, answered T1; BIT T2
+	msgSpinThenSleep              // the spin-then-sleep window ends at T0
+	msgTimerWake                  // the sleep timer (or watchdog) fires at T0
+	msgRegister                   // home: oracle/yield waiter ready T0, arriving T1
+	msgRelease                    // home: the releaser's flag write sent T0, arriving T1; BIT T2
+	msgReleaseAck                 // the releaser's write completes at T0; sent T1, BIT T2
+	msgDelivery                   // release invalidation lands at T0; BIT T1
+	msgOracleResolve              // oracle waiter ready T0, released T1, departs T2; BIT T3
+	msgYieldResume                // yield waiter ready T0 resumes at T1; BIT T2
+)
+
+// Message flags.
+const (
+	flagLastOfGroup uint8 = 1 << iota // check-in reply: the group's last arrival
+	flagRootLast                      // check-in reply: the barrier's last arrival
+	flagPredicted                     // query reply: the predictor had an entry
+	flagFlipped                       // query or flag-read reply: the flag was released
+	flagOracle                        // register: an oracle waiter, not a yield one
+	flagRecovery                      // timer wake: the watchdog, not the predicted timer
+)
+
+func flagIf(cond bool, f uint8) uint8 {
+	if cond {
+		return f
 	}
-	return m.pe.Shard(m.shardOf[node]).At(when, o, fn)
+	return 0
 }
 
-// send routes a message: fn executes at `when` on to's shard. The order
+// handler is the sim.Handler every event of the machine is scheduled
+// with: a converted *ParallelMachine, so scheduling allocates nothing.
+type handler ParallelMachine
+
+// Fire dispatches one message by kind.
+func (h *handler) Fire(msg sim.Msg) {
+	m := (*ParallelMachine)(h)
+	t, k := int(msg.A), int(msg.B)
+	switch msg.Kind {
+	case msgStart:
+		m.startPhase(t, k, msg.T0)
+	case msgArrive:
+		m.arrive(t, k, msg.T0)
+	case msgCheckin:
+		m.homeCheckin(t, k, int(msg.C), int(msg.D), msg.T0, msg.T1)
+	case msgCheckinReply:
+		m.checkinReply(t, k, int(msg.C), int(msg.D), msg.T0,
+			msg.Flags&flagLastOfGroup != 0, msg.Flags&flagRootLast != 0, msg.T1, msg.T2)
+	case msgQuery:
+		m.homeQuery(t, k, msg.C, msg.T0, msg.T1)
+	case msgQueryReply:
+		if w := m.waiter(t, msg.C); w != nil {
+			m.queryReply(t, k, w, msg.T0, msg.T1, msg.T2, msg.Flags&flagPredicted != 0, msg.Flags&flagFlipped != 0)
+		}
+	case msgFlagRead:
+		m.homeFlagRead(t, k, msg.C, readPurpose(msg.D), msg.T0, msg.T1)
+	case msgFlagReadReply:
+		if w := m.waiter(t, msg.C); w != nil {
+			m.flagReadReply(t, k, w, readPurpose(msg.D), msg.T0, msg.T1, msg.Flags&flagFlipped != 0, msg.T2)
+		}
+	case msgSpinThenSleep:
+		if w := m.waiter(t, msg.C); w != nil {
+			m.spinThenSleepConvert(t, k, w, msg.T0)
+		}
+	case msgTimerWake:
+		if w := m.waiter(t, msg.C); w != nil {
+			m.internalWake(t, k, w, msg.T0, msg.Flags&flagRecovery != 0)
+		}
+	case msgRegister:
+		m.homeRegister(t, k, msg.T0, msg.T1, msg.Flags&flagOracle != 0)
+	case msgRelease:
+		m.homeRelease(t, k, msg.T0, msg.T1, msg.T2)
+	case msgReleaseAck:
+		m.nodes[t].cpu.ChargeCompute(msg.T0 - msg.T1)
+		m.depart(t, k, nil, msg.T0, msg.T2)
+	case msgDelivery:
+		m.delivery(t, k, msg.T0, msg.T1)
+	case msgOracleResolve:
+		m.oracleResolve(t, k, msg.T0, msg.T1, msg.T2, msg.T3)
+	case msgYieldResume:
+		m.yieldResume(t, k, msg.T0, msg.T1, msg.T2)
+	default:
+		panic(fmt.Sprintf("core: unknown message kind %d", msg.Kind))
+	}
+}
+
+// waiter returns t's wait numbered gen, or nil once that wait has
+// departed: a reply to a finished wait is dropped.
+func (m *ParallelMachine) waiter(t int, gen int32) *pwaiter {
+	w := &m.nodes[t].w
+	if w.gen != gen || w.departed {
+		return nil
+	}
+	return w
+}
+
+// at schedules msg on node's own shard (a local continuation or timer).
+func (m *ParallelMachine) at(node int, when sim.Cycles, msg sim.Msg) sim.Handle {
+	o := m.orderKey(node)
+	if m.eng != nil {
+		return m.eng.AtMsg(when, o, (*handler)(m), msg)
+	}
+	return m.pe.Shard(m.shardOf[node]).AtMsg(when, o, (*handler)(m), msg)
+}
+
+// send routes a message: msg fires at `when` on to's shard. The order
 // key is minted from the sending node, whose shard is running the
 // current event.
-func (m *ParallelMachine) send(from, to int, when sim.Cycles, fn func()) {
+func (m *ParallelMachine) send(from, to int, when sim.Cycles, msg sim.Msg) {
 	o := m.orderKey(from)
 	if m.eng != nil {
-		m.eng.AtOrdered(when, o, fn)
+		m.eng.AtMsg(when, o, (*handler)(m), msg)
 		return
 	}
 	sf, st := m.shardOf[from], m.shardOf[to]
 	if sf == st {
-		m.pe.Shard(sf).At(when, o, fn)
+		m.pe.Shard(sf).AtMsg(when, o, (*handler)(m), msg)
 		return
 	}
-	m.pe.Shard(sf).Post(st, when, o, fn)
+	m.pe.Shard(sf).PostMsg(st, when, o, (*handler)(m), msg)
 }
 
 func (m *ParallelMachine) cancel(node int, h sim.Handle) {
@@ -405,8 +516,7 @@ func (m *ParallelMachine) Run(prog Program, shards int) ParallelResult {
 	}
 
 	for t := 0; t < m.arch.Nodes; t++ {
-		t := t
-		m.at(t, 0, func() { m.startPhase(t, 0, 0) })
+		m.at(t, 0, sim.Msg{Kind: msgStart, A: int32(t)})
 	}
 	if m.eng != nil {
 		m.eng.Run()
@@ -554,7 +664,7 @@ func (m *ParallelMachine) startPhase(t, k int, at sim.Cycles) {
 		m.region(t).stats.InjectedStalls++
 	}
 	arrive := at + dur
-	m.at(t, arrive, func() { m.arrive(t, k, arrive) })
+	m.at(t, arrive, sim.Msg{Kind: msgArrive, A: int32(t), B: int32(k), T0: arrive})
 }
 
 func (m *ParallelMachine) arrive(t, k int, now sim.Cycles) {
@@ -571,7 +681,7 @@ func (m *ParallelMachine) checkinSend(t, k, level, group int, dep sim.Cycles, br
 	mt := m.meta(m.prog.Phase(k).PC)
 	g := mt.shape.levels[level].groups[group]
 	arr := dep + m.arch.Coherence.L2Hit + m.net.Latency(t, g.home, m.arch.Coherence.CtrlBytes)
-	m.send(t, g.home, arr, func() { m.homeCheckin(t, k, level, group, arr, brts) })
+	m.send(t, g.home, arr, sim.Msg{Kind: msgCheckin, A: int32(t), B: int32(k), C: int32(level), D: int32(group), T0: arr, T1: brts})
 }
 
 // homeCheckin serializes one check-in at the counter's home: the home
@@ -616,7 +726,8 @@ func (m *ParallelMachine) homeCheckin(t, k, level, group int, arr sim.Cycles, br
 		rg.lastThread[k] = t
 		rg.stats.Episodes++
 	}
-	m.send(g.home, t, grant, func() { m.checkinReply(t, k, level, group, grant, lastOfGroup, rootLast, bit, brts) })
+	m.send(g.home, t, grant, sim.Msg{Kind: msgCheckinReply, A: int32(t), B: int32(k), C: int32(level), D: int32(group),
+		Flags: flagIf(lastOfGroup, flagLastOfGroup) | flagIf(rootLast, flagRootLast), T0: grant, T1: bit, T2: brts})
 }
 
 func (m *ParallelMachine) checkinReply(t, k, level, group int, grant sim.Cycles, lastOfGroup, rootLast bool, bit, brts sim.Cycles) {
@@ -648,8 +759,8 @@ func (m *ParallelMachine) checkinReply(t, k, level, group int, grant sim.Cycles,
 func (m *ParallelMachine) wait(t, k int, ready sim.Cycles) {
 	nd := m.nodes[t]
 	pc := m.prog.Phase(k).PC
-	w := &pwaiter{phase: k, pc: pc, kind: waitSpin, readyAt: ready}
-	nd.w = w
+	w := &nd.w
+	*w = pwaiter{gen: w.gen + 1, phase: k, pc: pc, kind: waitSpin, readyAt: ready}
 
 	if m.opts.YieldReschedule > 0 {
 		w.kind = waitYield
@@ -693,29 +804,34 @@ func (m *ParallelMachine) wait(t, k int, ready sim.Cycles) {
 
 // querySend asks the flag home for this barrier's BIT prediction.
 func (m *ParallelMachine) querySend(t, k int, w *pwaiter, ready sim.Cycles) {
-	mt := m.meta(w.pc)
-	h := mt.flagHome
+	h := m.meta(w.pc).flagHome
 	ch := m.arch.Coherence
 	arr := ready + ch.L2Hit + m.net.Latency(t, h, ch.CtrlBytes)
-	m.send(t, h, arr, func() {
-		rg := m.region(h)
-		svc := arr + ch.DirLookup
-		rr := svc + m.net.Latency(h, t, ch.CtrlBytes)
-		ep := m.flagEp(rg, w.pc, k)
-		if ep.released {
-			released, relAt, bit := true, ep.releaseAt, ep.bit
-			m.send(h, t, rr, func() { m.queryReply(t, k, w, ready, rr, 0, false, released, relAt, bit) })
-			return
-		}
-		bit, ok := rg.table.Predict(w.pc)
-		m.send(h, t, rr, func() { m.queryReply(t, k, w, ready, rr, bit, ok, false, 0, 0) })
-	})
+	m.send(t, h, arr, sim.Msg{Kind: msgQuery, A: int32(t), B: int32(k), C: w.gen, T0: ready, T1: arr})
 }
 
-func (m *ParallelMachine) queryReply(t, k int, w *pwaiter, sent, rr sim.Cycles, bit sim.Cycles, ok, released bool, relAt, relBit sim.Cycles) {
-	if w.departed {
-		return
+// homeQuery answers a BIT query at the flag home: the prediction, or the
+// release itself when the flag has already flipped.
+func (m *ParallelMachine) homeQuery(t, k int, gen int32, ready, arr sim.Cycles) {
+	pc := m.prog.Phase(k).PC
+	h := m.meta(pc).flagHome
+	ch := m.arch.Coherence
+	rg := m.region(h)
+	svc := arr + ch.DirLookup
+	rr := svc + m.net.Latency(h, t, ch.CtrlBytes)
+	reply := sim.Msg{Kind: msgQueryReply, A: int32(t), B: int32(k), C: gen, T0: ready, T1: rr}
+	if ep := m.flagEp(rg, pc, k); ep.released {
+		reply.Flags, reply.T2 = flagFlipped, ep.bit
+	} else {
+		bit, ok := rg.table.Predict(pc)
+		reply.Flags, reply.T2 = flagIf(ok, flagPredicted), bit
 	}
+	m.send(h, t, rr, reply)
+}
+
+// queryReply acts on the prediction: bit is the predicted BIT when ok, or
+// the release's BIT when released.
+func (m *ParallelMachine) queryReply(t, k int, w *pwaiter, sent, rr sim.Cycles, bit sim.Cycles, ok, released bool) {
 	nd := m.nodes[t]
 	// The query round trip is library execution: Compute, like the
 	// decision cost it extends.
@@ -725,7 +841,7 @@ func (m *ParallelMachine) queryReply(t, k int, w *pwaiter, sent, rr sim.Cycles, 
 		// Raced the release while deciding: the reply itself reports the
 		// flip, so the thread departs without ever waiting.
 		w.wokeReady = rr
-		m.depart(t, k, w, rr, relBit)
+		m.depart(t, k, w, rr, bit)
 		return
 	}
 	if !ok {
@@ -759,31 +875,34 @@ func (m *ParallelMachine) spinArm(t, k int, w *pwaiter, at sim.Cycles) {
 	m.flagReadSend(t, k, w, readArm, at)
 }
 
-// flagReadSend issues a flag-line read to its home. The reply carries
-// the home's view at service time: flipped or not, and the release
-// metadata when flipped.
+// flagReadSend issues a flag-line read to its home.
 func (m *ParallelMachine) flagReadSend(t, k int, w *pwaiter, purpose readPurpose, at sim.Cycles) {
-	mt := m.meta(w.pc)
-	h := mt.flagHome
+	h := m.meta(w.pc).flagHome
 	ch := m.arch.Coherence
 	arr := at + ch.L2Hit + m.net.Latency(t, h, ch.CtrlBytes)
-	m.send(t, h, arr, func() {
-		rg := m.region(h)
-		ep := m.flagEp(rg, w.pc, k)
-		svc := arr + ch.DirLookup + rg.proto.Memory(m.local(h)).Access(mt.flagAddr) + ch.Bus
-		rr := svc + m.net.Latency(h, t, ch.DataBytes)
-		if !ep.released {
-			m.flagFor(rg, w.pc).sharers.add(t)
-		}
-		released, relAt, bit := ep.released, ep.releaseAt, ep.bit
-		m.send(h, t, rr, func() { m.flagReadReply(t, k, w, purpose, at, rr, released, relAt, bit) })
-	})
+	m.send(t, h, arr, sim.Msg{Kind: msgFlagRead, A: int32(t), B: int32(k), C: w.gen, D: int32(purpose), T0: at, T1: arr})
 }
 
-func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpose, sent, rr sim.Cycles, flipped bool, relAt, bit sim.Cycles) {
-	if w.departed {
-		return
+// homeFlagRead services a flag read at its home. The reply carries the
+// home's view at service time: flipped or not, and the release's BIT
+// when flipped.
+func (m *ParallelMachine) homeFlagRead(t, k int, gen int32, purpose readPurpose, at, arr sim.Cycles) {
+	pc := m.prog.Phase(k).PC
+	mt := m.meta(pc)
+	h := mt.flagHome
+	ch := m.arch.Coherence
+	rg := m.region(h)
+	ep := m.flagEp(rg, pc, k)
+	svc := arr + ch.DirLookup + rg.proto.Memory(m.local(h)).Access(mt.flagAddr) + ch.Bus
+	rr := svc + m.net.Latency(h, t, ch.DataBytes)
+	if !ep.released {
+		m.flagFor(rg, pc).sharers.add(t)
 	}
+	m.send(h, t, rr, sim.Msg{Kind: msgFlagReadReply, A: int32(t), B: int32(k), C: gen, D: int32(purpose),
+		Flags: flagIf(ep.released, flagFlipped), T0: at, T1: rr, T2: ep.bit})
+}
+
+func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpose, sent, rr sim.Cycles, flipped bool, bit sim.Cycles) {
 	nd := m.nodes[t]
 	rg := m.region(t)
 	lat := rr - sent
@@ -800,7 +919,7 @@ func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpos
 		if w.spinThenArm {
 			w.spinThenArm = false
 			threshold := rr + m.opts.SpinThenSleep
-			m.at(t, threshold, func() { m.spinThenSleepConvert(t, k, w, threshold) })
+			m.at(t, threshold, sim.Msg{Kind: msgSpinThenSleep, A: int32(t), B: int32(k), C: w.gen, T0: threshold})
 		}
 		if w.pendingWake && !w.resolving {
 			// The release delivery beat this reply; re-read to depart.
@@ -874,8 +993,8 @@ func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpos
 // spinThenSleepConvert turns a §5.1 spin-then-sleep spinner into an
 // externally-woken sleeper once the spin window expires.
 func (m *ParallelMachine) spinThenSleepConvert(t, k int, w *pwaiter, threshold sim.Cycles) {
-	if w.departed || w.pendingWake || w.resolving {
-		// Already released (or release in flight): stay a spinner.
+	if w.pendingWake || w.resolving {
+		// Release in flight: stay a spinner.
 		return
 	}
 	nd := m.nodes[t]
@@ -942,7 +1061,7 @@ func (m *ParallelMachine) enterSleep(t, k int, w *pwaiter, ready sim.Cycles) {
 			if wake < w.sleepStart {
 				wake = w.sleepStart
 			}
-			w.timer = m.at(t, wake, func() { m.internalWake(t, k, w, wake, false) })
+			w.timer = m.at(t, wake, sim.Msg{Kind: msgTimerWake, A: int32(t), B: int32(k), C: w.gen, T0: wake})
 			w.timerArmed = true
 		}
 	}
@@ -950,7 +1069,7 @@ func (m *ParallelMachine) enterSleep(t, k int, w *pwaiter, ready sim.Cycles) {
 		// Every wake-up channel is gone (§3.3's "unbounded" case): the
 		// OS watchdog revives the sleeper after the recovery timeout.
 		at := w.sleepStart + m.opts.Faults.RecoveryTimeout()
-		w.timer = m.at(t, at, func() { m.internalWake(t, k, w, at, true) })
+		w.timer = m.at(t, at, sim.Msg{Kind: msgTimerWake, A: int32(t), B: int32(k), C: w.gen, Flags: flagRecovery, T0: at})
 		w.timerArmed = true
 	}
 	if w.pendingWake && w.externalLive {
@@ -962,7 +1081,7 @@ func (m *ParallelMachine) enterSleep(t, k int, w *pwaiter, ready sim.Cycles) {
 }
 
 func (m *ParallelMachine) internalWake(t, k int, w *pwaiter, now sim.Cycles, recovery bool) {
-	if w.departed || w.woken {
+	if w.woken {
 		return
 	}
 	nd := m.nodes[t]
@@ -1026,29 +1145,29 @@ func (m *ParallelMachine) chargeSleepUntil(nd *pnode, w *pwaiter, until sim.Cycl
 // registerSend registers an oracle (oracle=true) or yield waiter with
 // the flag home, which resolves it at release time.
 func (m *ParallelMachine) registerSend(t, k int, readyAt sim.Cycles, oracle bool) {
-	mt := m.meta(m.prog.Phase(k).PC)
-	h := mt.flagHome
-	ch := m.arch.Coherence
+	h := m.meta(m.prog.Phase(k).PC).flagHome
+	arr := readyAt + m.net.Latency(t, h, m.arch.Coherence.CtrlBytes)
+	m.send(t, h, arr, sim.Msg{Kind: msgRegister, A: int32(t), B: int32(k), Flags: flagIf(oracle, flagOracle), T0: readyAt, T1: arr})
+}
+
+// homeRegister records an oracle or yield registration at the flag home,
+// or resolves it at once when it raced the release.
+func (m *ParallelMachine) homeRegister(t, k int, readyAt, arr sim.Cycles, oracle bool) {
 	pc := m.prog.Phase(k).PC
-	arr := readyAt + m.net.Latency(t, h, ch.CtrlBytes)
-	m.send(t, h, arr, func() {
-		rg := m.region(h)
-		ep := m.flagEp(rg, pc, k)
-		if ep.released {
-			// Raced the release: resolve immediately.
-			if oracle {
-				m.resolveOracleAt(rg, h, pc, k, ep, pReg{thread: t, readyAt: readyAt}, arr)
-			} else {
-				m.resolveYieldAt(h, k, ep, pReg{thread: t, readyAt: readyAt}, arr)
-			}
-			return
-		}
-		if oracle {
-			ep.oracles = append(ep.oracles, pReg{thread: t, readyAt: readyAt})
-		} else {
-			ep.yields = append(ep.yields, pReg{thread: t, readyAt: readyAt})
-		}
-	})
+	h := m.meta(pc).flagHome
+	rg := m.region(h)
+	ep := m.flagEp(rg, pc, k)
+	r := pReg{thread: t, readyAt: readyAt}
+	switch {
+	case ep.released && oracle:
+		m.resolveOracleAt(rg, h, pc, k, ep, r, arr)
+	case ep.released:
+		m.resolveYieldAt(h, k, ep, r, arr)
+	case oracle:
+		ep.oracles = append(ep.oracles, r)
+	default:
+		ep.yields = append(ep.yields, r)
+	}
 }
 
 // releaseSend is the last thread's flag write: reset count, flip the
@@ -1058,14 +1177,14 @@ func (m *ParallelMachine) releaseSend(t, k int, done sim.Cycles, bit sim.Cycles)
 	h := mt.flagHome
 	ch := m.arch.Coherence
 	arr := done + ch.L2Hit + m.net.Latency(t, h, ch.CtrlBytes)
-	m.send(t, h, arr, func() { m.homeRelease(t, k, arr, done, bit) })
+	m.send(t, h, arr, sim.Msg{Kind: msgRelease, A: int32(t), B: int32(k), T0: done, T1: arr, T2: bit})
 }
 
 // homeRelease commits the release at the flag home: update the predictor
 // (it lives here), write the line, invalidate every sharer — those
 // invalidations are the wake-up IPIs — resolve registered oracle/yield
 // waiters, and ack the releaser once all invalidation acks are in.
-func (m *ParallelMachine) homeRelease(t, k int, arr, sent sim.Cycles, bit sim.Cycles) {
+func (m *ParallelMachine) homeRelease(t, k int, sent, arr sim.Cycles, bit sim.Cycles) {
 	pc := m.prog.Phase(k).PC
 	mt := m.meta(pc)
 	h := mt.flagHome
@@ -1092,7 +1211,7 @@ func (m *ParallelMachine) homeRelease(t, k int, arr, sent sim.Cycles, bit sim.Cy
 		if ack > ackMax {
 			ackMax = ack
 		}
-		m.send(h, s, inv, func() { m.delivery(s, k, inv, ep.bit) })
+		m.send(h, s, inv, sim.Msg{Kind: msgDelivery, A: int32(s), B: int32(k), T0: inv, T1: bit})
 	})
 	f.sharers.clear()
 
@@ -1112,18 +1231,13 @@ func (m *ParallelMachine) homeRelease(t, k int, arr, sent sim.Cycles, bit sim.Cy
 		lat = ackMax
 	}
 	ra := R + lat
-	m.send(h, t, ra, func() {
-		nd := m.nodes[t]
-		nd.cpu.ChargeCompute(ra - sent)
-		m.depart(t, k, nil, ra, bit)
-	})
+	m.send(h, t, ra, sim.Msg{Kind: msgReleaseAck, A: int32(t), B: int32(k), T0: ra, T1: sent, T2: bit})
 }
 
 // delivery is the release invalidation (wake-up IPI) landing at node s.
 func (m *ParallelMachine) delivery(s, k int, inv sim.Cycles, bit sim.Cycles) {
-	nd := m.nodes[s]
-	w := nd.w
-	if w == nil || w.phase != k || w.departed {
+	w := &m.nodes[s].w
+	if w.phase != k || w.departed {
 		return
 	}
 	switch w.kind {
@@ -1171,22 +1285,21 @@ func (m *ParallelMachine) resolveOracleAt(rg *pregion, h int, pc uint64, k int, 
 	// The woken thread's flag fetch: request to home, serviced, data back.
 	fetch := ch.L2Hit + m.net.Latency(s, h, ch.CtrlBytes) + ch.DirLookup +
 		rg.proto.Memory(m.local(h)).Access(mt.flagAddr) + ch.Bus + m.net.Latency(h, s, ch.DataBytes)
-	stall := R - r.readyAt
-	if stall < 0 {
-		stall = 0
-	}
-	bit := ep.bit
 	dep := R + fetch
-	m.send(h, s, dep, func() { m.oracleResolve(s, k, r.readyAt, R, dep, stall, bit) })
+	m.send(h, s, dep, sim.Msg{Kind: msgOracleResolve, A: int32(s), B: int32(k), T0: r.readyAt, T1: R, T2: dep, T3: ep.bit})
 }
 
-func (m *ParallelMachine) oracleResolve(t, k int, readyAt, R, dep, stall sim.Cycles, bit sim.Cycles) {
+func (m *ParallelMachine) oracleResolve(t, k int, readyAt, R, dep sim.Cycles, bit sim.Cycles) {
 	nd := m.nodes[t]
-	w := nd.w
-	if w == nil || w.phase != k || w.departed {
+	w := &nd.w
+	if w.phase != k || w.departed {
 		return
 	}
 	rg := m.region(t)
+	stall := R - readyAt
+	if stall < 0 {
+		stall = 0
+	}
 	fit := m.model.BestFit(stall, 0)
 	if fit.OK {
 		st := fit.State
@@ -1215,21 +1328,24 @@ func (m *ParallelMachine) resolveYieldAt(h, k int, ep *pflagEp, r pReg, R sim.Cy
 		delay = ipi
 	}
 	dep := R + delay
-	bit := ep.bit
-	m.send(h, s, dep, func() {
-		nd := m.nodes[s]
-		w := nd.w
-		if w == nil || w.phase != k || w.departed {
-			return
-		}
-		nd.cpu.ChargeCompute(dep - r.readyAt)
-		m.depart(s, k, w, dep, bit)
-	})
+	m.send(h, s, dep, sim.Msg{Kind: msgYieldResume, A: int32(s), B: int32(k), T0: r.readyAt, T1: dep, T2: ep.bit})
+}
+
+func (m *ParallelMachine) yieldResume(t, k int, readyAt, dep sim.Cycles, bit sim.Cycles) {
+	nd := m.nodes[t]
+	w := &nd.w
+	if w.phase != k || w.departed {
+		return
+	}
+	nd.cpu.ChargeCompute(dep - readyAt)
+	m.depart(t, k, w, dep, bit)
 }
 
 // ---------------------------------------------------------------------
 // Departure.
 
+// depart ends t's wait w at dep; w is nil for the releaser, which never
+// waited.
 func (m *ParallelMachine) depart(t, k int, w *pwaiter, dep sim.Cycles, bit sim.Cycles) {
 	nd := m.nodes[t]
 	if w != nil {
@@ -1265,7 +1381,6 @@ func (m *ParallelMachine) depart(t, k int, w *pwaiter, dep sim.Cycles, bit sim.C
 			nd.waits[k] = tw
 		}
 	}
-	nd.w = nil
 	m.startPhase(t, k+1, dep)
 }
 

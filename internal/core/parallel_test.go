@@ -244,3 +244,43 @@ func TestParallelShardClamp(t *testing.T) {
 		t.Errorf("shards = %d, want clamp to 2 regions", r.Shards)
 	}
 }
+
+// A node reuses one waiter across its waits, so a message sent for an
+// earlier wait must not reach the next one: after a wait departs and the
+// node starts waiting at the next barrier, a reply carrying the old
+// wait's gen is dropped, as the departed wait's own replies are.
+func TestStaleWaitReplyDropped(t *testing.T) {
+	m, err := NewParallelMachine(parallelArch(64, 8), Thrifty())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.prog = UniformProgram(0x400, 2, imbalancedWork(1000, 0))
+	m.meta(0x400)
+	m.shards, m.eng = 1, sim.NewEngine()
+	const node = 3
+	w := &m.nodes[node].w
+	if m.waiter(node, w.gen) != nil {
+		t.Fatal("a node that never waited has a live wait")
+	}
+
+	m.wait(node, 0, 100)
+	first := w.gen
+	if m.waiter(node, first) == nil {
+		t.Fatal("the wait in progress is not live")
+	}
+	m.depart(node, 0, w, 200, 0)
+	if m.waiter(node, first) != nil {
+		t.Fatal("a departed wait is still live")
+	}
+
+	m.wait(node, 1, 300)
+	if w.gen == first {
+		t.Fatalf("the next wait reuses gen %d", first)
+	}
+	if m.waiter(node, first) != nil {
+		t.Fatal("a reply to the departed wait reaches the next one")
+	}
+	if m.waiter(node, w.gen) == nil {
+		t.Fatal("the next wait is not live")
+	}
+}

@@ -27,7 +27,8 @@ type Segment struct {
 	// Instructions is the dynamic instruction count of the segment.
 	Instructions int64
 	// Refs is the sampled reference stream driven through the memory
-	// hierarchy.
+	// hierarchy. RunSegment only reads it, so a program may hand the
+	// same slice to many segments.
 	Refs []Ref
 	// RefScale is how many actual references each sampled one stands for;
 	// memory stall time is scaled accordingly. Zero means 1.

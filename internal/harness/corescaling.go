@@ -63,11 +63,32 @@ func CoreScalingProgram(seed uint64, nodes, phases int) core.Program {
 	baseAlt := []int64{300_000, 520_000, 360_000}
 	regionPlace := dram.NewPlacement(coreScalingRegion, 4096)
 	prog := make(core.SliceProgram, phases)
+	// A CPU's references depend only on the phase and its place in its
+	// region, so the program builds them once, in one array.
+	const refsPerCPU = 12
+	all := make([]cpu.Ref, 0, phases*coreScalingRegion*refsPerCPU)
 	for i := range prog {
-		i := i
 		base := baseAlt[i%3]
 		straggler := rng.Intn(nodes)
 		pr := rng.Split(uint64(i))
+		first := len(all)
+		for local := 0; local < coreScalingRegion; local++ {
+			for j := 0; j < 8; j++ {
+				all = append(all, cpu.Ref{
+					Addr:  regionPlace.PrivateAddr(local, uint64(0x10000+j*64+i*4096)),
+					Write: j%3 == 0,
+				})
+			}
+			// The region-shared page: each region's protocol instance
+			// is separate, so one address is automatically per-region.
+			for j := 0; j < 4; j++ {
+				all = append(all, cpu.Ref{
+					Addr:  uint64(0x2000_0000 + j*64),
+					Write: local == 0 && j == 0,
+				})
+			}
+		}
+		refs := all[first:]
 		prog[i] = core.PhaseSpec{
 			PC:            uint64(0x500 + i%3),
 			PreemptThread: -1,
@@ -77,23 +98,8 @@ func CoreScalingProgram(seed uint64, nodes, phases int) core.Program {
 				if t == straggler {
 					insns += 2 * insns / 5 // Table 2 imbalance: ~40% straggler
 				}
-				local := t % coreScalingRegion
-				refs := make([]cpu.Ref, 0, 12)
-				for j := 0; j < 8; j++ {
-					refs = append(refs, cpu.Ref{
-						Addr:  regionPlace.PrivateAddr(local, uint64(0x10000+j*64+i*4096)),
-						Write: j%3 == 0,
-					})
-				}
-				// The region-shared page: each region's protocol instance
-				// is separate, so one address is automatically per-region.
-				for j := 0; j < 4; j++ {
-					refs = append(refs, cpu.Ref{
-						Addr:  uint64(0x2000_0000 + j*64),
-						Write: local == 0 && j == 0,
-					})
-				}
-				return cpu.Segment{Instructions: insns, Refs: refs, RefScale: 64}
+				at := t % coreScalingRegion * refsPerCPU
+				return cpu.Segment{Instructions: insns, Refs: refs[at : at+refsPerCPU : at+refsPerCPU], RefScale: 64}
 			},
 		}
 	}

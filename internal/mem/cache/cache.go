@@ -5,7 +5,10 @@
 // without a cycle.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // LineState is the MESI state of a cached line, maintained by the directory
 // protocol in package coherence.
@@ -92,7 +95,7 @@ type Victim struct {
 // The zero value is unusable; construct with New.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line // set s holds ways lines[s*Ways : (s+1)*Ways]
 	setMask   uint64
 	lineShift uint
 	clock     uint64 // LRU clock
@@ -100,6 +103,9 @@ type Cache struct {
 	// exclusive populations are known without a scan. count[Invalid]
 	// includes never-filled ways.
 	count [4]int
+	// dirty and excl locate the Modified and Exclusive ways by set, so
+	// FlushDirty and EachExclusive visit only the sets that hold them.
+	dirty, excl setIndex
 
 	// Stats.
 	hits, misses, evictions, writebacks uint64
@@ -111,30 +117,68 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	sets := make([][]line, cfg.Sets())
-	backing := make([]line, cfg.Sets()*cfg.Ways)
-	for i := range sets {
-		sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways : (i+1)*cfg.Ways]
-	}
 	shift := uint(0)
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
 	c := &Cache{
 		cfg:       cfg,
-		sets:      sets,
+		lines:     make([]line, cfg.Sets()*cfg.Ways),
 		setMask:   uint64(cfg.Sets() - 1),
 		lineShift: shift,
 	}
-	c.count[Invalid] = len(backing)
+	c.count[Invalid] = len(c.lines)
+	// One allocation each for both indexes' counts and bitmaps.
+	n, words := cfg.Sets(), (cfg.Sets()+63)/64
+	counts, marks := make([]int32, 2*n), make([]uint64, 2*words)
+	c.dirty = setIndex{n: counts[:n:n], bits: marks[:words:words]}
+	c.excl = setIndex{n: counts[n:], bits: marks[words:]}
 	return c
 }
 
-// setState moves ln to st, keeping the per-state counts.
-func (c *Cache) setState(ln *line, st LineState) {
-	c.count[ln.state]--
+// setState moves ln, a way of set, to st, keeping the per-state counts.
+func (c *Cache) setState(set uint64, ln *line, st LineState) {
+	old := ln.state
+	c.count[old]--
 	c.count[st]++
 	ln.state = st
+	switch old {
+	case Modified:
+		c.dirty.add(set, -1)
+	case Exclusive:
+		c.excl.add(set, -1)
+	}
+	switch st {
+	case Modified:
+		c.dirty.add(set, 1)
+	case Exclusive:
+		c.excl.add(set, 1)
+	}
+}
+
+// setIndex counts one state's ways in each set and marks, one bit per
+// set, the sets where that count is nonzero.
+type setIndex struct {
+	n    []int32
+	bits []uint64
+}
+
+// add changes set's count by d (±1), marking or unmarking the set when
+// the count leaves or reaches zero.
+func (x *setIndex) add(set uint64, d int32) {
+	n := x.n[set] + d
+	x.n[set] = n
+	switch n {
+	case 0:
+		x.bits[set/64] &^= 1 << (set % 64)
+	case d:
+		x.bits[set/64] |= 1 << (set % 64)
+	}
+}
+
+func (x *setIndex) clear() {
+	clear(x.n)
+	clear(x.bits)
 }
 
 // Config returns the cache geometry.
@@ -143,6 +187,12 @@ func (c *Cache) Config() Config { return c.cfg }
 // LineAddr returns the line-aligned address containing addr.
 func (c *Cache) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(c.cfg.LineBytes) - 1)
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []line {
+	i := int(s) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways : i+c.cfg.Ways]
 }
 
 func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
@@ -154,8 +204,9 @@ func (c *Cache) index(addr uint64) (set uint64, tag uint64) {
 // state; on a miss it returns Invalid.
 func (c *Cache) Lookup(addr uint64) (LineState, bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
 		if ln.state.Valid() && ln.tag == tag {
 			c.clock++
 			ln.lru = c.clock
@@ -170,8 +221,9 @@ func (c *Cache) Lookup(addr uint64) (LineState, bool) {
 // Peek probes without updating LRU or statistics.
 func (c *Cache) Peek(addr uint64) (LineState, bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
 		if ln.state.Valid() && ln.tag == tag {
 			return ln.state, true
 		}
@@ -187,12 +239,12 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 		panic("cache: Insert with Invalid state")
 	}
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	// Already present: update in place.
 	for i := range ways {
 		if ways[i].state.Valid() && ways[i].tag == tag {
 			c.clock++
-			c.setState(&ways[i], state)
+			c.setState(set, &ways[i], state)
 			ways[i].lru = c.clock
 			return Victim{}, false
 		}
@@ -224,7 +276,7 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 		}
 	}
 	c.clock++
-	c.setState(&ways[victimIdx], state)
+	c.setState(set, &ways[victimIdx], state)
 	ways[victimIdx].tag = tag
 	ways[victimIdx].lru = c.clock
 	return victim, evicted
@@ -234,10 +286,11 @@ func (c *Cache) Insert(addr uint64, state LineState) (Victim, bool) {
 // if the line is absent.
 func (c *Cache) SetState(addr uint64, state LineState) bool {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
 		if ln.state.Valid() && ln.tag == tag {
-			c.setState(ln, state)
+			c.setState(set, ln, state)
 			return true
 		}
 	}
@@ -247,59 +300,53 @@ func (c *Cache) SetState(addr uint64, state LineState) bool {
 // Invalidate drops the line if present, reporting whether it was dirty.
 func (c *Cache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
 	set, tag := c.index(addr)
-	for i := range c.sets[set] {
-		ln := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		ln := &ways[i]
 		if ln.state.Valid() && ln.tag == tag {
 			wasDirty = ln.state.Dirty()
-			c.setState(ln, Invalid)
+			c.setState(set, ln, Invalid)
 			return wasDirty, true
 		}
 	}
 	return false, false
 }
 
-// FlushDirty writes back and invalidates every dirty line, returning their
-// line addresses. This models the flush a processor performs before
-// entering a deep sleep state whose cache cannot respond to protocol
-// interventions (§3.1): the data must reach a safe place, and subsequent
-// accesses become compulsory misses. Lines come back in set and way
-// order; the scan stops at the last dirty line, and a clean cache returns
-// nil without scanning.
-func (c *Cache) FlushDirty() []uint64 {
-	n := c.count[Modified]
-	if n == 0 {
-		return nil
-	}
-	flushed := make([]uint64, 0, n)
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			ln := &c.sets[s][i]
-			if ln.state.Dirty() {
-				flushed = append(flushed, ln.tag<<c.lineShift)
-				c.setState(ln, Invalid)
-				c.writebacks++
-				if len(flushed) == n {
-					return flushed
+// FlushDirty writes back and invalidates every dirty line, appending their
+// line addresses to dst and returning the extended slice. This models the
+// flush a processor performs before entering a deep sleep state whose
+// cache cannot respond to protocol interventions (§3.1): the data must
+// reach a safe place, and subsequent accesses become compulsory misses.
+// Lines come in set and way order, and only the sets holding a dirty line
+// are visited.
+func (c *Cache) FlushDirty(dst []uint64) []uint64 {
+	for wi, w := range c.dirty.bits {
+		for ; w != 0; w &= w - 1 {
+			set := uint64(64*wi + bits.TrailingZeros64(w))
+			ways := c.set(set)
+			for i := range ways {
+				if ways[i].state == Modified {
+					dst = append(dst, ways[i].tag<<c.lineShift)
+					c.setState(set, &ways[i], Invalid)
+					c.writebacks++
 				}
 			}
 		}
 	}
-	return flushed
+	return dst
 }
 
 // EachExclusive calls f with the line address of every Exclusive line, in
-// set and way order, and stops after the last one. f may change the state
-// of the line it is given (SetState, Invalidate) but of no other line.
+// set and way order, visiting only the sets that hold one. f may change
+// the state of the line it is given (SetState, Invalidate) but of no
+// other line.
 func (c *Cache) EachExclusive(f func(addr uint64)) {
-	n := c.count[Exclusive]
-	for s := 0; n > 0 && s < len(c.sets); s++ {
-		for i := range c.sets[s] {
-			ln := &c.sets[s][i]
-			if ln.state == Exclusive {
-				n--
-				f(ln.tag << c.lineShift)
-				if n == 0 {
-					return
+	for wi, w := range c.excl.bits {
+		for ; w != 0; w &= w - 1 {
+			ways := c.set(uint64(64*wi + bits.TrailingZeros64(w)))
+			for i := range ways {
+				if ways[i].state == Exclusive {
+					f(ways[i].tag << c.lineShift)
 				}
 			}
 		}
@@ -310,7 +357,7 @@ func (c *Cache) EachExclusive(f func(addr uint64)) {
 func (c *Cache) DirtyCount() int { return c.count[Modified] }
 
 // ValidCount reports how many lines are currently valid.
-func (c *Cache) ValidCount() int { return len(c.sets)*c.cfg.Ways - c.count[Invalid] }
+func (c *Cache) ValidCount() int { return len(c.lines) - c.count[Invalid] }
 
 // Stats reports hit/miss/eviction/writeback counters.
 func (c *Cache) Stats() (hits, misses, evictions, writebacks uint64) {
@@ -320,10 +367,8 @@ func (c *Cache) Stats() (hits, misses, evictions, writebacks uint64) {
 // Clear invalidates everything without writebacks (used between simulated
 // program runs).
 func (c *Cache) Clear() {
-	for s := range c.sets {
-		for i := range c.sets[s] {
-			c.sets[s][i] = line{}
-		}
-	}
-	c.count = [4]int{Invalid: len(c.sets) * c.cfg.Ways}
+	clear(c.lines)
+	c.count = [4]int{Invalid: len(c.lines)}
+	c.dirty.clear()
+	c.excl.clear()
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -129,7 +130,7 @@ func TestFlushDirty(t *testing.T) {
 	c.Insert(0x040, Shared)
 	c.Insert(0x080, Exclusive)
 	c.Insert(0x0C0, Modified)
-	flushed := c.FlushDirty()
+	flushed := c.FlushDirty(nil)
 	if len(flushed) != 2 {
 		t.Fatalf("flushed %d lines, want 2", len(flushed))
 	}
@@ -210,7 +211,7 @@ func TestWritebackConservationProperty(t *testing.T) {
 			c.Insert(addr, Modified)
 			inserted++
 		}
-		flushed := len(c.FlushDirty())
+		flushed := len(c.FlushDirty(nil))
 		_, _, _, wb := c.Stats()
 		// writebacks counts evictions of dirty lines plus flushes.
 		return int(wb) == inserted && flushed+int(wb)-flushed <= inserted
@@ -223,8 +224,8 @@ func TestWritebackConservationProperty(t *testing.T) {
 // scan recounts the ways by state and lists the Modified lines in set and
 // way order, the reference the O(1) counts and FlushDirty must match.
 func scan(c *Cache) (count [4]int, dirty []uint64) {
-	for s := range c.sets {
-		for _, ln := range c.sets[s] {
+	for s := 0; s < c.cfg.Sets(); s++ {
+		for _, ln := range c.set(uint64(s)) {
 			count[ln.state]++
 			if ln.state == Modified {
 				dirty = append(dirty, ln.tag<<c.lineShift)
@@ -234,15 +235,35 @@ func scan(c *Cache) (count [4]int, dirty []uint64) {
 	return count, dirty
 }
 
+// checkSetIndex compares x, the per-set index of state st, with a scan of
+// every set: each set's count and its bit must match the ways in st.
+func checkSetIndex(c *Cache, x *setIndex, st LineState) error {
+	for s := 0; s < c.cfg.Sets(); s++ {
+		n := int32(0)
+		for _, ln := range c.set(uint64(s)) {
+			if ln.state == st {
+				n++
+			}
+		}
+		bit := x.bits[s/64]&(1<<(s%64)) != 0
+		if x.n[s] != n || bit != (n > 0) {
+			return fmt.Errorf("set %d: %v count %d bit %v, scan %d", s, st, x.n[s], bit, n)
+		}
+	}
+	return nil
+}
+
 // cacheOp is one random step: kind picks Insert, SetState, Invalidate or
 // FlushDirty; line and state pick its operands.
 type cacheOp struct{ Kind, Line, State uint8 }
 
 // Property: under any sequence of Insert/SetState/Invalidate/FlushDirty on
 // a small geometry (4 sets × 2 ways, 16 candidate lines), the per-state
-// counts equal a full scan after every step, DirtyCount is the number of
-// Modified ways, FlushDirty returns exactly the Modified lines in set and
-// way order, and EachExclusive visits exactly the Exclusive ones.
+// counts and the per-set Modified and Exclusive counts and bitmaps equal a
+// full scan after every step, DirtyCount is the number of Modified ways,
+// FlushDirty returns exactly the Modified lines in set and way order, and
+// EachExclusive visits exactly the Exclusive ones, also in set and way
+// order.
 func TestStateCountsMatchScanProperty(t *testing.T) {
 	f := func(ops []cacheOp) bool {
 		c := New(Config{SizeBytes: 512, LineBytes: 64, Ways: 2})
@@ -261,7 +282,7 @@ func TestStateCountsMatchScanProperty(t *testing.T) {
 				c.Invalidate(addr)
 			case 3:
 				_, want := scan(c)
-				got := c.FlushDirty()
+				got := c.FlushDirty(nil)
 				if len(got) != len(want) {
 					t.Logf("step %d: FlushDirty returned %d lines, scan found %d", step, len(got), len(want))
 					return false
@@ -286,17 +307,24 @@ func TestStateCountsMatchScanProperty(t *testing.T) {
 				t.Logf("step %d: ValidCount %d, scan %v", step, c.ValidCount(), count)
 				return false
 			}
-			var excl []uint64
-			c.EachExclusive(func(a uint64) { excl = append(excl, a) })
-			if len(excl) != count[Exclusive] {
-				t.Logf("step %d: EachExclusive visited %d, scan %d", step, len(excl), count[Exclusive])
-				return false
-			}
-			for _, a := range excl {
-				if st, _ := c.Peek(a); st != Exclusive {
-					t.Logf("step %d: EachExclusive visited %#x in state %v", step, a, st)
+			for _, err := range []error{checkSetIndex(c, &c.dirty, Modified), checkSetIndex(c, &c.excl, Exclusive)} {
+				if err != nil {
+					t.Logf("step %d: %v", step, err)
 					return false
 				}
+			}
+			var excl, wantExcl []uint64
+			c.EachExclusive(func(a uint64) { excl = append(excl, a) })
+			for s := 0; s < c.cfg.Sets(); s++ {
+				for _, ln := range c.set(uint64(s)) {
+					if ln.state == Exclusive {
+						wantExcl = append(wantExcl, ln.tag<<c.lineShift)
+					}
+				}
+			}
+			if fmt.Sprint(excl) != fmt.Sprint(wantExcl) {
+				t.Logf("step %d: EachExclusive visited %#x, scan %#x", step, excl, wantExcl)
+				return false
 			}
 		}
 		return true
@@ -326,7 +354,7 @@ func TestEachExclusiveDowngradeInPlace(t *testing.T) {
 		t.Fatalf("counts after downgrade = %v", c.count)
 	}
 	c.Clear()
-	if c.count != [4]int{Invalid: 1024} || c.FlushDirty() != nil {
+	if c.count != [4]int{Invalid: 1024} || c.FlushDirty(nil) != nil {
 		t.Fatalf("Clear left counts %v", c.count)
 	}
 }

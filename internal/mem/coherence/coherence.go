@@ -183,7 +183,8 @@ type AccessResult struct {
 	// Latency is the completion latency seen by the requesting processor.
 	Latency sim.Cycles
 	// Invalidations lists sharer invalidations generated by this access,
-	// with absolute delivery times.
+	// with absolute delivery times. The slice belongs to the Protocol and
+	// is valid until its next access; copy what must outlive that.
 	Invalidations []Delivery
 	// Level records where the access was satisfied: 1, 2, or 3 (beyond L2).
 	Level int
@@ -204,8 +205,12 @@ type Protocol struct {
 	mems  []*dram.Memory
 	l1s   []*cache.Cache
 	l2s   []*cache.Cache
-	dir   map[uint64]*dirEntry
+	dir   directory
 	gated []bool
+	// invals backs AccessResult.Invalidations; flushed backs the line
+	// lists of FlushForSleep.
+	invals  []Delivery
+	flushed []uint64
 
 	monitors map[monitorKey]func(sim.Cycles)
 
@@ -241,7 +246,6 @@ func New(cfg Config, net *noc.Network, place *dram.Placement) *Protocol {
 		mems:     make([]*dram.Memory, cfg.Nodes),
 		l1s:      make([]*cache.Cache, cfg.Nodes),
 		l2s:      make([]*cache.Cache, cfg.Nodes),
-		dir:      make(map[uint64]*dirEntry),
 		gated:    make([]bool, cfg.Nodes),
 		monitors: make(map[monitorKey]func(sim.Cycles)),
 	}
@@ -262,15 +266,6 @@ func (p *Protocol) Stats() Stats { return p.stats }
 // LineAddr aligns addr to its cache line.
 func (p *Protocol) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(p.cfg.L1.LineBytes) - 1)
-}
-
-func (p *Protocol) entry(line uint64) *dirEntry {
-	e := p.dir[line]
-	if e == nil {
-		e = &dirEntry{state: dirUncached}
-		p.dir[line] = e
-	}
-	return e
 }
 
 // Monitor registers a cache-controller flag monitor on node for the line
@@ -336,19 +331,19 @@ func (p *Protocol) fillLine(node int, line uint64, st cache.LineState) {
 // evictFromDirectory updates the directory when node silently drops line
 // (replacement). Dirty victims write back to the home memory.
 func (p *Protocol) evictFromDirectory(node int, line uint64, dirty bool) {
-	e, ok := p.dir[line]
-	if !ok {
+	e := p.dir.lookup(line)
+	if e == nil {
 		return
 	}
 	switch e.state {
 	case dirShared:
 		e.sharers.remove(node)
 		if e.sharers.empty() {
-			delete(p.dir, line)
+			p.dir.remove(line)
 		}
 	case dirExclusive:
 		if e.owner == node {
-			delete(p.dir, line)
+			p.dir.remove(line)
 			if dirty {
 				p.stats.Writebacks++
 				p.mems[p.place.Home(line)].Access(line)
@@ -377,7 +372,7 @@ func (p *Protocol) Read(node int, addr uint64, now sim.Cycles) AccessResult {
 func (p *Protocol) readMiss(node int, line uint64, now sim.Cycles) AccessResult {
 	p.stats.RemoteFills++
 	home := p.place.Home(line)
-	e := p.entry(line)
+	e := p.dir.entry(line)
 	// Request travels to the home directory.
 	lat := p.cfg.L2Hit + p.net.Latency(node, home, p.cfg.CtrlBytes) + p.cfg.DirLookup
 
@@ -470,9 +465,10 @@ func (p *Protocol) Write(node int, addr uint64, now sim.Cycles) AccessResult {
 // other sharers, then take ownership.
 func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycles) AccessResult {
 	home := p.place.Home(line)
-	e := p.entry(line)
+	e := p.dir.entry(line)
 	lat := probe + p.net.Latency(node, home, p.cfg.CtrlBytes) + p.cfg.DirLookup
 	res := AccessResult{Level: 3}
+	p.invals = p.invals[:0]
 
 	var ackMax sim.Cycles
 	e.sharers.forEach(func(s int) {
@@ -481,7 +477,7 @@ func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycl
 		}
 		invLat := p.net.Latency(home, s, p.cfg.CtrlBytes)
 		at := now + lat + invLat
-		res.Invalidations = append(res.Invalidations, p.invalidateAt(s, line, at))
+		p.invals = append(p.invals, p.invalidateAt(s, line, at))
 		// Ack travels sharer -> requester.
 		if total := invLat + p.net.Latency(s, node, p.cfg.CtrlBytes); total > ackMax {
 			ackMax = total
@@ -495,6 +491,7 @@ func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycl
 	p.l2s[node].SetState(line, cache.Modified)
 	p.fillLine(node, line, cache.Modified)
 	res.Latency = lat
+	res.Invalidations = p.invals
 	return res
 }
 
@@ -502,9 +499,10 @@ func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycl
 func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult {
 	p.stats.RemoteFills++
 	home := p.place.Home(line)
-	e := p.entry(line)
+	e := p.dir.entry(line)
 	lat := p.cfg.L2Hit + p.net.Latency(node, home, p.cfg.CtrlBytes) + p.cfg.DirLookup
 	res := AccessResult{Level: 3}
+	p.invals = p.invals[:0]
 
 	switch e.state {
 	case dirUncached:
@@ -520,7 +518,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 			}
 			invLat := p.net.Latency(home, s, p.cfg.CtrlBytes)
 			at := now + lat + invLat
-			res.Invalidations = append(res.Invalidations, p.invalidateAt(s, line, at))
+			p.invals = append(p.invals, p.invalidateAt(s, line, at))
 			if total := invLat + p.net.Latency(s, node, p.cfg.CtrlBytes); total > ackMax {
 				ackMax = total
 			}
@@ -541,7 +539,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 			p.stats.Forwards++
 			fwd := p.net.Latency(home, owner, p.cfg.CtrlBytes)
 			at := now + lat + fwd
-			res.Invalidations = append(res.Invalidations, p.invalidateAt(owner, line, at))
+			p.invals = append(p.invals, p.invalidateAt(owner, line, at))
 			lat += fwd + p.cfg.L2Hit + p.net.Latency(owner, node, p.cfg.DataBytes)
 		} else {
 			lat += p.mems[home].Access(line) + p.cfg.Bus
@@ -553,6 +551,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 	e.sharers.clear()
 	p.fillLine(node, line, cache.Modified)
 	res.Latency = lat
+	res.Invalidations = p.invals
 	return res
 }
 
@@ -563,13 +562,14 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 // number of lines written back and the time the flush occupies the
 // processor before it can enter the sleep state.
 func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency sim.Cycles) {
-	dirtyL1 := p.l1s[node].FlushDirty()
-	for _, line := range dirtyL1 {
+	p.flushed = p.l1s[node].FlushDirty(p.flushed[:0])
+	for _, line := range p.flushed {
 		// L1 dirty lines fold into L2 (inclusion) before the L2 flush; if
 		// the L2 copy lost dirtiness tracking, restore it.
 		p.l2s[node].SetState(line, cache.Modified)
 	}
-	dirty := p.l2s[node].FlushDirty()
+	p.flushed = p.l2s[node].FlushDirty(p.flushed[:0])
+	dirty := p.flushed
 	var maxNet sim.Cycles
 	for _, line := range dirty {
 		home := p.place.Home(line)
@@ -577,7 +577,7 @@ func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency s
 		if l := p.net.Latency(node, home, p.cfg.DataBytes); l > maxNet {
 			maxNet = l
 		}
-		delete(p.dir, line) // back to uncached
+		p.dir.remove(line) // back to uncached
 		p.stats.Writebacks++
 		p.stats.FlushedLines++
 	}
@@ -600,7 +600,7 @@ func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency s
 func (p *Protocol) downgradeExclusives(node int) {
 	l1, l2 := p.l1s[node], p.l2s[node]
 	l2.EachExclusive(func(line uint64) {
-		e := p.dir[line]
+		e := p.dir.lookup(line)
 		if e == nil || e.state != dirExclusive || e.owner != node {
 			return
 		}

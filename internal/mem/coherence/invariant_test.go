@@ -20,24 +20,36 @@ func newRegionProto() *Protocol {
 	return New(cfg, noc.New(ncfg), dram.NewPlacement(8, 4096))
 }
 
+// eachEntry calls f with every directory entry and its line.
+func eachEntry(p *Protocol, f func(line uint64, e *dirEntry)) {
+	for _, b := range p.dir.index.buckets {
+		if b.slot != 0 {
+			f(b.line, &p.dir.slab[b.slot-1])
+		}
+	}
+}
+
 // checkDirectory asserts the directory invariants FlushForSleep relies on:
 // every dirExclusive entry's owner holds the line in its L2 as E or M, and
 // every dirShared entry has at least one sharer.
-func checkDirectory(p *Protocol) error {
-	for line, e := range p.dir {
+func checkDirectory(p *Protocol) (err error) {
+	eachEntry(p, func(line uint64, e *dirEntry) {
+		if err != nil {
+			return
+		}
 		switch e.state {
 		case dirExclusive:
 			st, ok := p.l2s[e.owner].Peek(line)
 			if !ok || (st != cache.Exclusive && st != cache.Modified) {
-				return fmt.Errorf("line %#x: dirExclusive owner %d holds it as %v (present %v)", line, e.owner, st, ok)
+				err = fmt.Errorf("line %#x: dirExclusive owner %d holds it as %v (present %v)", line, e.owner, st, ok)
 			}
 		case dirShared:
 			if e.sharers.empty() {
-				return fmt.Errorf("line %#x: dirShared with no sharers", line)
+				err = fmt.Errorf("line %#x: dirShared with no sharers", line)
 			}
 		}
-	}
-	return nil
+	})
+	return err
 }
 
 // Property: random reads, writes and flush-then-gate sleeps keep the
@@ -80,11 +92,11 @@ func TestDirectoryInvariantUnderSleep(t *testing.T) {
 						p.SetGated(n, false) // the sleeper wakes
 					case rng.Bool(0.02):
 						p.FlushForSleep(n, now)
-						for l, e := range p.dir {
+						eachEntry(p, func(l uint64, e *dirEntry) {
 							if e.state == dirExclusive && e.owner == n {
 								t.Fatalf("step %d: node %d still owns line %#x after FlushForSleep", i, n, l)
 							}
-						}
+						})
 						if d := p.DirtyLines(n); d != 0 {
 							t.Fatalf("step %d: node %d has %d dirty lines after FlushForSleep", i, n, d)
 						}

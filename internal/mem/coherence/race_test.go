@@ -15,7 +15,7 @@ import (
 // two fully independent region protocols plus a shared global network —
 // under concurrent load, so `go test -race` proves the audit result:
 // protocol, cache, and DRAM counters are region-local (never shared
-// across shards) and the network's traffic statistics are atomic.
+// across shards) and the network is immutable after construction.
 func TestRegionProtocolsConcurrent(t *testing.T) {
 	const regionNodes = 8
 	rcfg := DefaultConfig()
@@ -57,10 +57,6 @@ func TestRegionProtocolsConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 
-	msgs, flits := global.Stats()
-	if msgs != 4000 || flits == 0 {
-		t.Errorf("global network stats lost updates: messages=%d flits=%d, want 4000 messages", msgs, flits)
-	}
 	for r, p := range regions {
 		s := p.Stats()
 		if s.Reads == 0 || s.Writes == 0 {

@@ -8,7 +8,6 @@ package noc
 import (
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"thriftybarrier/internal/sim"
 )
@@ -55,17 +54,13 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Network computes message latencies over the hypercube. It is stateless
-// apart from traffic statistics (the paper's network is modeled
-// contention-free: wormhole pipelined latency only). The statistics are
-// atomic so that the parallel engine's shards can compute latencies
-// concurrently; the latency math itself reads only immutable configuration.
+// Network computes message latencies over the hypercube. The paper's
+// network is modeled contention-free (wormhole pipelined latency only), so
+// a Network is immutable after New and the parallel engine's shards may
+// share one without synchronization.
 type Network struct {
 	cfg Config
 	dim int
-
-	messages atomic.Uint64
-	flits    atomic.Uint64
 }
 
 // New builds a network, panicking on invalid static configuration.
@@ -104,8 +99,6 @@ func (n *Network) Latency(src, dst, payloadBytes int) sim.Cycles {
 	if payloadBytes > 0 {
 		flits = (payloadBytes + n.cfg.FlitBytes - 1) / n.cfg.FlitBytes
 	}
-	n.messages.Add(1)
-	n.flits.Add(uint64(flits))
 	lat := 2*n.cfg.Endpoint + sim.Cycles(hops)*n.cfg.PinToPin
 	// Wormhole: body flits pipeline behind the head, adding one flit time
 	// each at the bottleneck link.
@@ -121,8 +114,7 @@ func (n *Network) MaxLatency(payloadBytes int) sim.Cycles {
 
 // MinLatency returns the latency of a one-hop message of payloadBytes —
 // the smallest delay any inter-node interaction can have, and therefore the
-// lookahead floor of the parallel engine's conservative windows. It does
-// not count toward traffic statistics (no message is modeled as sent).
+// lookahead floor of the parallel engine's conservative windows.
 func (n *Network) MinLatency(payloadBytes int) sim.Cycles {
 	flits := 1
 	if payloadBytes > 0 {
@@ -130,9 +122,6 @@ func (n *Network) MinLatency(payloadBytes int) sim.Cycles {
 	}
 	return 2*n.cfg.Endpoint + n.cfg.PinToPin + sim.Cycles(flits-1)*n.cfg.FlitCycle
 }
-
-// Stats reports total messages and flits carried.
-func (n *Network) Stats() (messages, flits uint64) { return n.messages.Load(), n.flits.Load() }
 
 func (n *Network) checkNode(id int) {
 	if id < 0 || id >= n.cfg.Nodes {

@@ -122,17 +122,3 @@ func TestNodeRangePanics(t *testing.T) {
 	}()
 	n.Hops(0, 64)
 }
-
-func TestStats(t *testing.T) {
-	n := New(DefaultConfig())
-	n.Latency(0, 1, 64)
-	n.Latency(0, 2, 8)
-	n.Latency(3, 3, 8) // local: not counted
-	msgs, flits := n.Stats()
-	if msgs != 2 {
-		t.Errorf("messages = %d, want 2", msgs)
-	}
-	if flits != 5 { // 4 + 1
-		t.Errorf("flits = %d, want 5", flits)
-	}
-}

@@ -17,15 +17,47 @@ func makeHandle(slot int32, gen uint32) Handle {
 	return Handle{uint64(slot+1)<<32 | uint64(gen)}
 }
 
-// event is one arena slot. Slots are recycled through the free-list; gen
-// counts recycles so stale Handles can be rejected in O(1).
+// Msg is an event's payload: a kind its Handler switches on plus a few
+// operands. It is a plain value, so scheduling one allocates nothing;
+// what the fields mean is up to the Handler that receives them.
+type Msg struct {
+	Kind, Flags    uint8
+	A, B, C, D     int32
+	T0, T1, T2, T3 Cycles
+}
+
+// Handler receives the events scheduled for it. Every event is a
+// (Handler, Msg) pair; a model that sends many kinds of message
+// implements Handler once and dispatches on Msg.Kind.
+type Handler interface {
+	Fire(Msg)
+}
+
+// callback adapts the func of At, After and AtOrdered to Handler,
+// ignoring the Msg. A func value converts to an interface without
+// allocating, so those forms allocate no more than AtMsg does: nothing.
+type callback func()
+
+func (f callback) Fire(Msg) { f() }
+
+// event is one arena slot: the payload of a pending event. Its ordering
+// key lives inline in the heap. Slots are recycled through the free-list;
+// gen counts recycles so stale Handles can be rejected in O(1).
 type event struct {
+	h   Handler
+	msg Msg
+	gen uint32
+	pos int32 // index in the heap; -1 once fired or cancelled
+}
+
+// heapEntry is one heap element: the event's (when, order, seq) key and
+// its arena slot. Keeping the key inline lets comparisons read the heap
+// alone.
+type heapEntry struct {
 	when  Cycles
 	order uint64
 	seq   uint64
-	fn    func()
-	gen   uint32
-	pos   int32 // index in the heap; -1 once fired or cancelled
+	slot  int32
 }
 
 // Engine is a deterministic discrete-event simulator. Events fire in
@@ -38,13 +70,13 @@ type event struct {
 // whose cross-shard determinism needs a tie-break that does not depend on
 // message delivery timing.
 //
-// The queue is an index-based 4-ary min-heap over a flat event arena with a
-// free-list: scheduling and firing are allocation-free in steady state
-// (once the arena and heap slices have grown to the high-water mark), where
-// the previous container/heap implementation allocated one *Event per
-// Schedule and churned an []any through heap.Push/Pop. The 4-ary layout
-// halves the tree depth of a binary heap and keeps sift-down children on
-// one cache line.
+// The queue is a 4-ary min-heap of (when, order, seq, slot) entries over a
+// flat event arena with a free-list: scheduling and firing are
+// allocation-free in steady state (once the arena and heap slices have
+// grown to the high-water mark). The 4-ary layout halves the tree depth of
+// a binary heap, and the inline keys let a comparison read the heap alone;
+// the arena holds only each event's Handler, Msg, generation and heap
+// position.
 //
 // The zero value is not ready to use; construct one with NewEngine. An
 // Engine must not be copied: the copy would share the arena and heap
@@ -53,9 +85,9 @@ type event struct {
 type Engine struct {
 	now     Cycles
 	seq     uint64
-	events  []event // arena; Handles and the heap index into it
-	free    []int32 // recycled arena slots
-	heap    []int32 // 4-ary min-heap of arena slots, ordered by (when, order, seq)
+	events  []event     // arena; Handles and the heap index into it
+	free    []int32     // recycled arena slots
+	heap    []heapEntry // 4-ary min-heap ordered by (when, order, seq)
 	stopped bool
 	fired   uint64
 	retired uint64 // slots permanently withdrawn after generation wrap
@@ -91,12 +123,18 @@ func (e *Engine) Pending() int { return len(e.heap) }
 // panics: the simulator has no mechanism for retroactive causality, so such
 // a call is always a modeling bug.
 func (e *Engine) At(when Cycles, fn func()) Handle {
-	return e.AtOrdered(when, 0, fn)
+	return e.AtMsg(when, 0, callback(fn), Msg{})
 }
 
 // AtOrdered schedules fn at absolute cycle when with an explicit order
-// key: events fire in (when, order, seq) order. The sequential API (At,
-// After) passes order 0, so its same-cycle ties still resolve by
+// key; it is AtMsg for a callback.
+func (e *Engine) AtOrdered(when Cycles, order uint64, fn func()) Handle {
+	return e.AtMsg(when, order, callback(fn), Msg{})
+}
+
+// AtMsg schedules h.Fire(msg) at absolute cycle when with an explicit
+// order key: events fire in (when, order, seq) order. The sequential API
+// (At, After) passes order 0, so its same-cycle ties still resolve by
 // scheduling sequence. The parallel engine's models pass unique order
 // keys, making the firing order — and therefore the whole run —
 // independent of when a cross-shard message happened to be merged into
@@ -106,7 +144,7 @@ func (e *Engine) At(when Cycles, fn func()) Handle {
 // (MaxArenaSlots pending events) or the scheduling sequence counter is
 // exhausted: both are unrecoverable capacity overflows that previously
 // wrapped silently and corrupted the firing order.
-func (e *Engine) AtOrdered(when Cycles, order uint64, fn func()) Handle {
+func (e *Engine) AtMsg(when Cycles, order uint64, h Handler, msg Msg) Handle {
 	if when < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now %d", when, e.now))
 	}
@@ -126,10 +164,9 @@ func (e *Engine) AtOrdered(when Cycles, order uint64, fn func()) Handle {
 		slot = int32(len(e.events) - 1)
 	}
 	ev := &e.events[slot]
-	ev.when, ev.order, ev.seq, ev.fn = when, order, e.seq, fn
+	ev.h, ev.msg = h, msg
+	e.heap = append(e.heap, heapEntry{when: when, order: order, seq: e.seq, slot: slot})
 	e.seq++
-	ev.pos = int32(len(e.heap))
-	e.heap = append(e.heap, slot)
 	e.siftUp(len(e.heap) - 1)
 	return makeHandle(slot, ev.gen)
 }
@@ -150,7 +187,7 @@ func (e *Engine) When(h Handle) (when Cycles, ok bool) {
 	if ev == nil {
 		return 0, false
 	}
-	return ev.when, true
+	return e.heap[ev.pos].when, true
 }
 
 // Cancel removes a pending event. Cancelling the zero Handle, or an event
@@ -182,7 +219,7 @@ func (e *Engine) lookup(h Handle) *event {
 }
 
 // release retires an arena slot: the generation bump invalidates every
-// outstanding Handle to it, the callback is dropped (so the arena does not
+// outstanding Handle to it, the Handler is dropped (so the arena does not
 // pin closures), and the slot rejoins the free-list.
 //
 // When the 32-bit generation tag wraps (after 2^32 recycles of one slot),
@@ -194,7 +231,7 @@ func (e *Engine) lookup(h Handle) *event {
 // fails loudly rather than silently misordering events.
 func (e *Engine) release(ev *event, slot int32) {
 	ev.gen++
-	ev.fn = nil
+	ev.h = nil
 	ev.pos = -1
 	if ev.gen == 0 {
 		e.retired++
@@ -209,14 +246,14 @@ func (e *Engine) Step() bool {
 	if len(e.heap) == 0 {
 		return false
 	}
-	slot := e.heap[0]
+	top := e.heap[0]
 	e.heapRemove(0)
-	ev := &e.events[slot]
-	e.now = ev.when
-	fn := ev.fn
-	e.release(ev, slot)
+	ev := &e.events[top.slot]
+	e.now = top.when
+	h, msg := ev.h, ev.msg
+	e.release(ev, top.slot)
 	e.fired++
-	fn()
+	h.Fire(msg)
 	return true
 }
 
@@ -233,7 +270,7 @@ func (e *Engine) Run() Cycles {
 // deadline (if it has not already passed it).
 func (e *Engine) RunUntil(deadline Cycles) Cycles {
 	e.stopped = false
-	for !e.stopped && len(e.heap) > 0 && e.events[e.heap[0]].when <= deadline {
+	for !e.stopped && len(e.heap) > 0 && e.heap[0].when <= deadline {
 		e.Step()
 	}
 	if e.now < deadline {
@@ -253,7 +290,7 @@ func (e *Engine) PeekWhen() (when Cycles, ok bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.events[e.heap[0]].when, true
+	return e.heap[0].when, true
 }
 
 // runBefore fires events with timestamps strictly before end. Unlike
@@ -261,7 +298,7 @@ func (e *Engine) PeekWhen() (when Cycles, ok bool) {
 // advancing it to end: a parallel-engine shard may later receive
 // cross-shard events timed inside a later window that starts before end.
 func (e *Engine) runBefore(end Cycles) {
-	for len(e.heap) > 0 && e.events[e.heap[0]].when < end {
+	for len(e.heap) > 0 && e.heap[0].when < end {
 		e.Step()
 	}
 }
@@ -270,43 +307,42 @@ func (e *Engine) runBefore(end Cycles) {
 
 const heapArity = 4
 
-// less orders two arena slots by (when, order, seq). seq is unique, so the
-// order is total and the firing sequence is independent of heap shape —
-// the property that keeps every run byte-identical to the old binary
+// less orders two heap entries by (when, order, seq). seq is unique, so
+// the order is total and the firing sequence is independent of heap shape
+// — the property that keeps every run byte-identical to the old binary
 // container/heap implementation. Sequentially scheduled events all carry
 // order 0, so for them the comparison reduces to the historical
 // (when, seq).
-func (e *Engine) less(a, b int32) bool {
-	ea, eb := &e.events[a], &e.events[b]
-	if ea.when != eb.when {
-		return ea.when < eb.when
+func less(a, b *heapEntry) bool {
+	if a.when != b.when {
+		return a.when < b.when
 	}
-	if ea.order != eb.order {
-		return ea.order < eb.order
+	if a.order != b.order {
+		return a.order < b.order
 	}
-	return ea.seq < eb.seq
+	return a.seq < b.seq
 }
 
 func (e *Engine) siftUp(i int) {
 	h := e.heap
-	slot := h[i]
+	x := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
-		if !e.less(slot, h[parent]) {
+		if !less(&x, &h[parent]) {
 			break
 		}
 		h[i] = h[parent]
-		e.events[h[i]].pos = int32(i)
+		e.events[h[i].slot].pos = int32(i)
 		i = parent
 	}
-	h[i] = slot
-	e.events[slot].pos = int32(i)
+	h[i] = x
+	e.events[x.slot].pos = int32(i)
 }
 
 func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
-	slot := h[i]
+	x := h[i]
 	for {
 		first := heapArity*i + 1
 		if first >= n {
@@ -318,19 +354,19 @@ func (e *Engine) siftDown(i int) {
 			last = n
 		}
 		for c := first + 1; c < last; c++ {
-			if e.less(h[c], h[best]) {
+			if less(&h[c], &h[best]) {
 				best = c
 			}
 		}
-		if !e.less(h[best], slot) {
+		if !less(&h[best], &x) {
 			break
 		}
 		h[i] = h[best]
-		e.events[h[i]].pos = int32(i)
+		e.events[h[i].slot].pos = int32(i)
 		i = best
 	}
-	h[i] = slot
-	e.events[slot].pos = int32(i)
+	h[i] = x
+	e.events[x.slot].pos = int32(i)
 }
 
 // heapRemove deletes the element at heap position i, preserving the heap
@@ -343,7 +379,7 @@ func (e *Engine) heapRemove(i int) {
 		return
 	}
 	e.heap[i] = last
-	e.events[last].pos = int32(i)
+	e.events[last.slot].pos = int32(i)
 	e.siftDown(i)
 	e.siftUp(i)
 }

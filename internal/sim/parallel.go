@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -49,7 +50,7 @@ type ParallelEngine struct {
 	windows   uint64
 	posted    uint64
 	stopped   atomic.Bool
-	batch     []post // reusable merge buffer
+	merge     []mergeKey // reusable merge buffer
 	active    []*EngineShard
 }
 
@@ -65,12 +66,20 @@ type EngineShard struct {
 	outbox []post
 }
 
+// mergeKey locates one outbox message by its sort key.
+type mergeKey struct {
+	when       Cycles
+	order      uint64
+	shard, idx int32
+}
+
 // post is one buffered cross-shard message.
 type post struct {
 	dst   int
 	when  Cycles
 	order uint64
-	fn    func()
+	h     Handler
+	msg   Msg
 }
 
 // NewParallelEngine builds an engine with the given shard count and
@@ -213,35 +222,42 @@ func (p *ParallelEngine) runWindow(end Cycles) {
 	p.active = active[:0]
 }
 
-// flush merges every outbox into the destination queues. Outboxes are
-// concatenated in shard order and stably sorted by (when, order), so the
-// destination-queue insertion order — and with it the seq tie-break that
-// backstops duplicate keys — is deterministic for a given shard count.
+// flush merges every outbox into the destination queues in (when, order)
+// order, ties kept in shard order and then outbox order — a stable sort
+// of the outboxes' concatenation — so the destination-queue insertion
+// order, and with it the seq tie-break that backstops duplicate keys, is
+// deterministic for a given shard count. It sorts small keys that point
+// into the outboxes rather than the messages themselves.
 func (p *ParallelEngine) flush() {
-	batch := p.batch[:0]
-	for _, s := range p.shards {
-		batch = append(batch, s.outbox...)
+	keys := p.merge[:0]
+	for si, s := range p.shards {
 		for i := range s.outbox {
-			s.outbox[i].fn = nil // don't pin closures in the spare capacity
+			m := &s.outbox[i]
+			keys = append(keys, mergeKey{when: m.when, order: m.order, shard: int32(si), idx: int32(i)})
 		}
+	}
+	slices.SortFunc(keys, func(a, b mergeKey) int {
+		if c := cmp.Compare(a.when, b.when); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.order, b.order); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.shard, b.shard); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.idx, b.idx)
+	})
+	for _, k := range keys {
+		m := &p.shards[k.shard].outbox[k.idx]
+		p.shards[m.dst].eng.AtMsg(m.when, m.order, m.h, m.msg)
+		m.h = nil // don't pin closures in the spare capacity
+	}
+	for _, s := range p.shards {
 		s.outbox = s.outbox[:0]
 	}
-	if len(batch) > 1 {
-		sort.SliceStable(batch, func(i, j int) bool {
-			if batch[i].when != batch[j].when {
-				return batch[i].when < batch[j].when
-			}
-			return batch[i].order < batch[j].order
-		})
-	}
-	for _, m := range batch {
-		p.shards[m.dst].eng.AtOrdered(m.when, m.order, m.fn)
-	}
-	p.posted += uint64(len(batch))
-	for i := range batch {
-		batch[i].fn = nil
-	}
-	p.batch = batch[:0]
+	p.posted += uint64(len(keys))
+	p.merge = keys[:0]
 }
 
 // ID reports the shard's index.
@@ -254,28 +270,39 @@ func (s *EngineShard) Now() Cycles { return s.eng.Now() }
 // Fired reports the number of events dispatched on this shard.
 func (s *EngineShard) Fired() uint64 { return s.eng.Fired() }
 
-// At schedules fn at when on this shard with the given order key. It is
-// the shard-local analogue of Engine.AtOrdered (same past-scheduling and
-// capacity panics) and may only be called before Run or from a callback
-// executing on this shard.
+// At schedules fn at when on this shard with the given order key; it is
+// AtMsg for a callback.
 func (s *EngineShard) At(when Cycles, order uint64, fn func()) Handle {
-	return s.eng.AtOrdered(when, order, fn)
+	return s.eng.AtMsg(when, order, callback(fn), Msg{})
+}
+
+// AtMsg schedules h.Fire(msg) at when on this shard with the given order
+// key. It is the shard-local analogue of Engine.AtMsg (same
+// past-scheduling and capacity panics) and may only be called before Run
+// or from a callback executing on this shard.
+func (s *EngineShard) AtMsg(when Cycles, order uint64, h Handler, msg Msg) Handle {
+	return s.eng.AtMsg(when, order, h, msg)
 }
 
 // Cancel removes a pending event scheduled on this shard. Like At, it may
 // only be called before Run or from a callback executing on this shard.
 func (s *EngineShard) Cancel(h Handle) bool { return s.eng.Cancel(h) }
 
-// Post schedules fn at when on shard dst. The message is buffered and
-// merged at the end of the current window; when must lie at or beyond the
-// window end (the lookahead guarantee), and a violation panics — it means
-// an event tried to affect another shard within the same window, which the
-// conservative synchronization cannot order.
+// Post schedules fn at when on shard dst; it is PostMsg for a callback.
+func (s *EngineShard) Post(dst int, when Cycles, order uint64, fn func()) {
+	s.PostMsg(dst, when, order, callback(fn), Msg{})
+}
+
+// PostMsg schedules h.Fire(msg) at when on shard dst. The message is
+// buffered and merged at the end of the current window; when must lie at
+// or beyond the window end (the lookahead guarantee), and a violation
+// panics — it means an event tried to affect another shard within the
+// same window, which the conservative synchronization cannot order.
 //
 // Posting to the shard itself is allowed (the message simply takes the
-// merge path); models normally use At for shard-local work instead, which
-// also permits delays below the lookahead.
-func (s *EngineShard) Post(dst int, when Cycles, order uint64, fn func()) {
+// merge path); models normally use AtMsg for shard-local work instead,
+// which also permits delays below the lookahead.
+func (s *EngineShard) PostMsg(dst int, when Cycles, order uint64, h Handler, msg Msg) {
 	p := s.pe
 	if dst < 0 || dst >= len(p.shards) {
 		panic(fmt.Sprintf("sim: post to shard %d out of range [0,%d)", dst, len(p.shards)))
@@ -285,5 +312,5 @@ func (s *EngineShard) Post(dst int, when Cycles, order uint64, fn func()) {
 			"sim: lookahead violation: cross-shard event at %d inside the executing window ending at %d (lookahead %d)",
 			when, p.windowEnd, p.lookahead))
 	}
-	s.outbox = append(s.outbox, post{dst: dst, when: when, order: order, fn: fn})
+	s.outbox = append(s.outbox, post{dst: dst, when: when, order: order, h: h, msg: msg})
 }
