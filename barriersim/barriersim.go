@@ -160,8 +160,8 @@ func Run(req Request) (Result, error) {
 	}
 
 	arch := core.DefaultArch().WithNodes(nodes)
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
-	res := core.NewMachine(arch, opts).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
+	res := core.Simulate(arch, opts, prog, false)
 	n := res.Breakdown.Normalize(base.Breakdown)
 
 	cfg := req.Config

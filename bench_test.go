@@ -34,9 +34,9 @@ import (
 func BenchmarkTable1ArchConfig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		arch := core.DefaultArch()
-		m := core.NewMachine(arch, core.Baseline())
-		if m.Proto().Config().Nodes != 64 {
-			b.Fatal("wrong machine size")
+		m, err := core.NewParallelMachine(arch, core.Baseline())
+		if err != nil || m.Topology() != core.TopologyFlat || arch.Regions() != 1 {
+			b.Fatal("wrong machine shape")
 		}
 	}
 }
@@ -316,8 +316,7 @@ func BenchmarkBarrierEpisode(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i += 16 {
 		prog := core.UniformProgram(0x100, 16, work)
-		m := core.NewMachine(arch, core.Thrifty())
-		m.Run(prog)
+		core.Simulate(arch, core.Thrifty(), prog, false)
 	}
 }
 
@@ -328,7 +327,7 @@ func BenchmarkSimulatedAppThrifty(b *testing.B) {
 	prog := spec.Build(arch.Nodes, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.NewMachine(arch, core.Thrifty()).Run(prog)
+		core.Simulate(arch, core.Thrifty(), prog, false)
 	}
 }
 

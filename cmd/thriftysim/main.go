@@ -159,10 +159,8 @@ func main() {
 	}
 	arch := core.DefaultArch().WithNodes(*nodes)
 
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
-	m := core.NewMachine(arch, opts)
-	m.SetRecording(*verbose || *chrome != "")
-	res := m.Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
+	res := core.Simulate(arch, opts, prog, *verbose || *chrome != "")
 	if *chrome != "" {
 		data, err := trace.ChromeTrace(res.Episodes, opts.Name)
 		if err != nil {
@@ -210,9 +208,9 @@ func main() {
 		n.Energy[sim.StateTransition]*100, n.Energy[sim.StateSleep]*100)
 	fmt.Printf("  normalized time:   %6.2f%%  (span ratio %.4f)\n", n.TotalTime()*100, n.SpanRatio)
 	fmt.Printf("  episodes=%d spins=%d sleeps=%v\n", res.Stats.Episodes, res.Stats.Spins, res.Stats.Sleeps)
-	fmt.Printf("  wakes: early=%d external=%d late=%d false=%d; disables=%d flushedLines=%d\n",
+	fmt.Printf("  wakes: early=%d external=%d late=%d; disables=%d flushedLines=%d\n",
 		res.Stats.EarlyWakes, res.Stats.ExternalWakes, res.Stats.LateWakes,
-		res.Stats.FalseWakeups, res.Stats.Disables, res.Stats.FlushLines)
+		res.Stats.Disables, res.Stats.FlushLines)
 	fmt.Printf("  predictor: hits=%d misses=%d skippedUpdates=%d\n",
 		res.Stats.PredictorHits, res.Stats.PredictorMisses, res.Stats.SkippedUpdates)
 	if opts.Faults.Active() {

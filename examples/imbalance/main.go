@@ -39,9 +39,9 @@ func main() {
 			}},
 		}
 		prog := spec.Build(arch.Nodes, 1)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
-		thr := core.NewMachine(arch, core.Thrifty()).Run(prog)
-		hlt := core.NewMachine(arch, core.ThriftyHalt()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
+		thr := core.Simulate(arch, core.Thrifty(), prog, false)
+		hlt := core.Simulate(arch, core.ThriftyHalt(), prog, false)
 
 		imb := base.Breakdown.SpinFraction()
 		nT := thr.Breakdown.Normalize(base.Breakdown)

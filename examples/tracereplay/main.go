@@ -67,12 +67,12 @@ func main() {
 		panic(err)
 	}
 
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 	fmt.Printf("replayed %d barrier instances on %d threads; measured imbalance %.1f%%\n\n",
 		prog.Phases(), arch.Nodes, base.Breakdown.SpinFraction()*100)
 	fmt.Printf("%-13s %10s %10s\n", "config", "energy", "time")
 	for _, opts := range core.Configurations() {
-		res := core.NewMachine(arch, opts).Run(prog)
+		res := core.Simulate(arch, opts, prog, false)
 		n := res.Breakdown.Normalize(base.Breakdown)
 		fmt.Printf("%-13s %9.2f%% %9.2f%%\n", opts.Name, n.TotalEnergy()*100, n.SpanRatio*100)
 	}

@@ -30,13 +30,13 @@ func main() {
 	arch := core.DefaultArch()
 	spec := workload.Ocean()
 	prog := spec.Build(arch.Nodes, 1)
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 	fmt.Printf("Ocean on %d nodes: baseline span %v, imbalance %.2f%%\n\n",
 		arch.Nodes, base.Span, base.Breakdown.SpinFraction()*100)
 	fmt.Printf("%-34s %8s %8s %7s %7s %7s\n", "variant", "energy", "time", "ext", "late", "disab")
 
 	run := func(label string, opts core.Options) {
-		res := core.NewMachine(arch, opts).Run(prog)
+		res := core.Simulate(arch, opts, prog, false)
 		n := res.Breakdown.Normalize(base.Breakdown)
 		fmt.Printf("%-34s %7.2f%% %7.2f%% %7d %7d %7d\n",
 			label, n.TotalEnergy()*100, n.SpanRatio*100,

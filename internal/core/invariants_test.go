@@ -28,9 +28,7 @@ func TestBarrierSemanticsProperty(t *testing.T) {
 			return cpu.Segment{Instructions: insns}
 		})
 		cfg := configs[int(seed)%len(configs)]
-		m := NewMachine(arch, cfg)
-		m.SetRecording(true)
-		res := m.Run(prog)
+		res := runProg(t, arch, cfg, prog, true)
 		if res.Stats.Episodes != phases {
 			return false
 		}
@@ -63,8 +61,8 @@ func TestThriftyNeverMuchWorseProperty(t *testing.T) {
 	f := func(imbalRaw uint8) bool {
 		extra := int64(imbalRaw) * 3_000
 		prog := UniformProgram(0x100, 8, imbalancedWork(150_000, extra))
-		base := NewMachine(arch, Baseline()).Run(prog)
-		thr := NewMachine(arch, Thrifty()).Run(prog)
+		base := runProg(t, arch, Baseline(), prog, false)
+		thr := runProg(t, arch, Thrifty(), prog, false)
 		n := thr.Breakdown.Normalize(base.Breakdown)
 		return n.TotalEnergy() < 1.03 && n.SpanRatio < 1.06
 	}
@@ -83,9 +81,7 @@ func TestTreeEquivalenceProperty(t *testing.T) {
 		})
 		opts := Baseline()
 		opts.TreeArity = arity
-		m := NewMachine(arch, opts)
-		m.SetRecording(true)
-		res := m.Run(prog)
+		res := runProg(t, arch, opts, prog, true)
 		if res.Stats.Episodes != 4 {
 			return false
 		}

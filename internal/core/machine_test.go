@@ -28,11 +28,11 @@ func imbalancedWork(base, extra int64) func(instance, thread int) cpu.Segment {
 	}
 }
 
+// runProg runs prog on the sequential engine, with episode records when
+// record is set.
 func runProg(t *testing.T, arch Arch, opts Options, prog Program, record bool) Result {
 	t.Helper()
-	m := NewMachine(arch, opts)
-	m.SetRecording(record)
-	return m.Run(prog)
+	return parallelRun(t, arch, opts, prog, 0, record).Result
 }
 
 func TestOptionsValidate(t *testing.T) {
@@ -252,9 +252,12 @@ func TestBRTSReconstructionIsExact(t *testing.T) {
 	// The no-global-clock bookkeeping (§3.2.1) must reconstruct release
 	// timestamps exactly: the sum of BITs equals the last release time.
 	prog := UniformProgram(0x100, 6, imbalancedWork(150_000, 150_000))
-	m := NewMachine(testArch(), Thrifty())
+	m, err := NewParallelMachine(testArch(), Thrifty())
+	if err != nil {
+		t.Fatal(err)
+	}
 	m.SetRecording(true)
-	res := m.Run(prog)
+	res := m.Run(prog, 0)
 	var sum sim.Cycles
 	for _, ep := range res.Episodes {
 		sum += ep.BIT
@@ -263,9 +266,9 @@ func TestBRTSReconstructionIsExact(t *testing.T) {
 	if sum != last.ReleaseAt {
 		t.Fatalf("sum of BITs = %v, last release = %v", sum, last.ReleaseAt)
 	}
-	for th := range m.brts {
-		if m.brts[th] != last.ReleaseAt {
-			t.Fatalf("thread %d BRTS = %v, want %v", th, m.brts[th], last.ReleaseAt)
+	for th, nd := range m.nodes {
+		if nd.brts != last.ReleaseAt {
+			t.Fatalf("thread %d BRTS = %v, want %v", th, nd.brts, last.ReleaseAt)
 		}
 	}
 }
@@ -406,8 +409,7 @@ func TestUnderpredictionFilterProtectsTable(t *testing.T) {
 		prog[5].PreemptDelay = 20 * sim.Millisecond
 		opts := Thrifty()
 		opts.Predictor.UnderpredictFactor = filter
-		m := NewMachine(testArch(), opts)
-		res := m.Run(prog)
+		res := runProg(t, testArch(), opts, prog, false)
 		return res, res
 	}
 	resFiltered, _ := mk(4)
@@ -448,6 +450,13 @@ func TestBSTDirectWorksButWorse(t *testing.T) {
 	if eBIT > 1.0 {
 		t.Fatalf("BIT-based thrifty saved nothing (%.3f)", eBIT)
 	}
+	sleeps := 0
+	for _, n := range bst.Stats.Sleeps {
+		sleeps += n
+	}
+	if sleeps == 0 {
+		t.Fatal("direct-BST never slept: its stall predictor was never trained")
+	}
 	t.Logf("BIT energy %.3f, direct-BST energy %.3f", eBIT, eBST)
 }
 
@@ -478,37 +487,6 @@ func TestFlushOverheadAppearsInCompute(t *testing.T) {
 	if thr.Breakdown.Time[sim.StateCompute] <= ideal.Breakdown.Time[sim.StateCompute] {
 		t.Fatalf("flush overhead not visible in Compute: thrifty %v <= ideal %v",
 			thr.Breakdown.Time[sim.StateCompute], ideal.Breakdown.Time[sim.StateCompute])
-	}
-}
-
-func TestFalseWakeupLeavesThreadSpinningButCorrect(t *testing.T) {
-	// Exercise the false wake-up path (§3.3.1): another node performs an
-	// exclusive prefetch of the flag line mid-episode. We drive this by
-	// having a rogue write to the flag line from inside a segment.
-	arch := testArch()
-	rogue := uint64(0) // filled after machine creation
-	prog := UniformProgram(0x200, 8, func(instance, thread int) cpu.Segment {
-		insns := int64(100_000)
-		if thread == 0 {
-			insns += 400_000
-		}
-		seg := cpu.Segment{Instructions: insns}
-		// After warm-up, thread 0 (the straggler, so the barrier is still
-		// held) writes the flag line mid-compute, invalidating sleepers.
-		if instance >= 2 && thread == 0 && rogue != 0 {
-			seg.Refs = []cpu.Ref{{Addr: rogue, Write: true}}
-		}
-		return seg
-	})
-	m := NewMachine(arch, Thrifty())
-	_, flag := m.barrierAddrs(0x200)
-	rogue = flag
-	res := m.Run(prog)
-	if res.Stats.FalseWakeups == 0 {
-		t.Skip("no false wake-up triggered under this timing; path covered elsewhere")
-	}
-	if res.Stats.Episodes != 8 {
-		t.Fatalf("episodes = %d, want 8 (correctness despite false wake-ups)", res.Stats.Episodes)
 	}
 }
 

@@ -133,7 +133,7 @@ type Options struct {
 	// existing configurations keep their meaning; TopologyNoCTree selects
 	// the NoC-matched multi-level tree (level-0 groups are the machine's
 	// NoC regions, upper levels pair region leaders along hypercube
-	// dimensions) and is only supported by the sharded ParallelMachine.
+	// dimensions); with the default single region it is one group.
 	Topology Topology
 }
 

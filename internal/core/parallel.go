@@ -14,34 +14,28 @@ import (
 	"thriftybarrier/internal/sim"
 )
 
-// ParallelMachine is the CC-NUMA machine partitioned into NoC regions so
-// it runs on sim.ParallelEngine: each region owns its CPUs, private
-// caches, a directory/memory slice, and the barrier lines homed on its
-// nodes. Every interaction that crosses a region boundary — check-in
-// requests, flag reads, release invalidations (the wake-up IPIs), and
-// predictor queries — travels as an explicit message through the shard
-// outboxes, with lookahead equal to the NoC's minimum cross-node latency.
+// ParallelMachine is the simulated CC-NUMA multiprocessor running one
+// Program under one barrier configuration. Its nodes are partitioned into
+// NoC regions (Arch.RegionNodes; by default one region, the paper's
+// single directory) so it can also run on sim.ParallelEngine: each region
+// owns its CPUs, private caches, a directory/memory slice, and the
+// barrier lines homed on its nodes. Every interaction that crosses a
+// node boundary — check-in requests, flag reads, release invalidations
+// (the wake-up IPIs), and predictor queries — travels as an explicit
+// message, with lookahead equal to the NoC's minimum cross-node latency.
 //
-// Two deliberate departures from the sequential Machine's analytic
-// shortcuts make the partitioning possible; both are visible in results,
-// which is why the sequential Machine stays the reference for ≤64-node
-// paper figures while this machine owns the scaling study:
-//
-//   - Barrier count and flag lines are home-resident: every access is a
-//     request/reply with the line's home node instead of a migratory
-//     cache-to-cache transfer. The flat barrier's lock serialization is
-//     preserved exactly — the home grants the count line at
-//     lock-free = previous holder's release, with the release itself
-//     modeled as reply + check-in cost + release notification — but a
-//     sleeping (gated) waiter can never strand ownership of a hot line
-//     in a powered-down cache.
-//   - Waiter decisions are message-accurate: where the sequential
-//     machine's waiters peek at the global episode ("was the flag
-//     flipped yet?"), this machine's waiters learn it from the reply to
-//     a real flag read, and the BIT predictor for a barrier lives on the
-//     flag's home node, queried by message. Results are therefore
-//     identical across shard counts by construction: every event's time
-//     and payload derives from messages, never from cross-region state.
+// Barrier count and flag lines are home-resident: every access is a
+// request/reply with the line's home node. The flat barrier's lock
+// serialization is modeled at the home, which grants the count line when
+// the previous holder's release notification lands, so a sleeping
+// (gated) waiter can never strand a hot line in a powered-down cache.
+// Waiters learn whether the flag flipped from the reply to a real flag
+// read, and a barrier's BIT predictor lives on the flag's home node,
+// queried by message. Per-thread state — BRTS, the cut-off's disabled
+// PCs, and the DVFS and direct-BST predictors — lives on the thread's
+// node. Results are therefore identical across shard counts by
+// construction: every event's time and payload derives from messages,
+// never from cross-region state.
 //
 // The machine is single-use: construct, Run once, read the result.
 type ParallelMachine struct {
@@ -94,6 +88,15 @@ type pnode struct {
 	w         pwaiter    // the current (or, once departed, last) wait
 
 	forbidden map[uint64]bool // §3.3.3 cut-off: prediction disabled per PC
+
+	// bst is the per-(PC, thread) time predictor of the two per-thread
+	// features: DVFS's compute-time predictor, or the direct-BST
+	// ablation's stall predictor. bits is DVFS's copy of the BIT table,
+	// fed the BIT each departure carries; no release of a PC can fall
+	// between this node's departure from it and its next arrival, so it
+	// predicts what the flag home's table would. Both are nil when unused.
+	bst  *predict.BSTTable
+	bits *predict.Table
 
 	// Record capture (SetRecording).
 	arriveAt []sim.Cycles
@@ -149,10 +152,9 @@ type pReg struct {
 	readyAt sim.Cycles
 }
 
-// pwaiter is a thread's in-flight wait, the message-accurate analogue of
-// the sequential machine's waiter. Each node reuses one across its waits;
-// gen numbers them, and messages sent for a wait carry its gen, so a
-// reply that outlives its wait is recognised and dropped.
+// pwaiter is a thread's in-flight wait. Each node reuses one across its
+// waits; gen numbers them, and messages sent for a wait carry its gen, so
+// a reply that outlives its wait is recognised and dropped.
 type pwaiter struct {
 	gen     int32
 	phase   int
@@ -171,6 +173,7 @@ type pwaiter struct {
 	woken         bool
 	wokeReady     sim.Cycles
 
+	firedAt     sim.Cycles // when the timer (or watchdog) fired
 	spinFrom    sim.Cycles // last completed flag read (spin detection point)
 	armed       bool       // first spin read completed
 	spinThenArm bool       // arm reply should schedule the spin-then-sleep threshold
@@ -208,18 +211,11 @@ func (s nodeset) forEach(f func(int)) {
 	}
 }
 
-// NewParallelMachine assembles the region-partitioned machine. Unlike
-// NewMachine it returns configuration problems as errors, since the CLI
-// exposes the extra knobs (shard count, topology, region size).
+// NewParallelMachine assembles the machine, reporting configuration
+// problems as errors.
 func NewParallelMachine(arch Arch, opts Options) (*ParallelMachine, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
-	}
-	if opts.DVFS {
-		return nil, fmt.Errorf("core: DVFS is not supported by the sharded machine (frequency planning reads the predictor mid-compute, which has no message-accurate form yet)")
-	}
-	if opts.BSTDirect {
-		return nil, fmt.Errorf("core: the direct-BST ablation predictor is not supported by the sharded machine")
 	}
 	if arch.Nodes != arch.Coherence.Nodes || arch.Nodes != arch.NoC.Nodes {
 		return nil, fmt.Errorf("core: inconsistent node counts %d/%d/%d", arch.Nodes, arch.Coherence.Nodes, arch.NoC.Nodes)
@@ -282,14 +278,34 @@ func NewParallelMachine(arch Arch, opts Options) (*ParallelMachine, error) {
 		m.regions[r].stats.Sleeps = make(map[string]int)
 	}
 	for t := range m.nodes {
-		m.nodes[t] = &pnode{
+		nd := &pnode{
 			id:        t,
 			cpu:       cpu.New(t&(rn-1), arch.CPU, m.regions[t/rn].proto, model, arch.Activity),
 			w:         pwaiter{departed: true}, // no wait in progress
 			forbidden: make(map[uint64]bool),
 		}
+		if opts.DVFS || opts.BSTDirect {
+			nd.bst = predict.NewBSTTable()
+		}
+		if opts.DVFS {
+			nd.bits = predict.NewTable(opts.Predictor)
+		}
+		m.nodes[t] = nd
 	}
 	return m, nil
+}
+
+// Simulate runs prog on a fresh machine on the sequential engine and
+// returns its result, with episode records when record is set. It panics
+// on a configuration NewParallelMachine rejects: its callers run fixed
+// experiment tables, never user input.
+func Simulate(arch Arch, opts Options, prog Program, record bool) Result {
+	m, err := NewParallelMachine(arch, opts)
+	if err != nil {
+		panic(err)
+	}
+	m.SetRecording(record)
+	return m.Run(prog, 0).Result
 }
 
 // SetRecording enables per-episode records.
@@ -346,7 +362,7 @@ const (
 	msgQuery                      // home: BIT query sent T0, arriving T1
 	msgQueryReply                 // query sent T0, answered T1 with BIT T2
 	msgFlagRead                   // home: flag read for purpose D, sent T0, arriving T1
-	msgFlagReadReply              // flag read for purpose D, sent T0, answered T1; BIT T2
+	msgFlagReadReply              // flag read for purpose D, sent T0, answered T1; BIT T2, released T3
 	msgSpinThenSleep              // the spin-then-sleep window ends at T0
 	msgTimerWake                  // the sleep timer (or watchdog) fires at T0
 	msgRegister                   // home: oracle/yield waiter ready T0, arriving T1
@@ -402,7 +418,7 @@ func (h *handler) Fire(msg sim.Msg) {
 		m.homeFlagRead(t, k, msg.C, readPurpose(msg.D), msg.T0, msg.T1)
 	case msgFlagReadReply:
 		if w := m.waiter(t, msg.C); w != nil {
-			m.flagReadReply(t, k, w, readPurpose(msg.D), msg.T0, msg.T1, msg.Flags&flagFlipped != 0, msg.T2)
+			m.flagReadReply(t, k, w, readPurpose(msg.D), msg.T0, msg.T1, msg.Flags&flagFlipped != 0, msg.T2, msg.T3)
 		}
 	case msgSpinThenSleep:
 		if w := m.waiter(t, msg.C); w != nil {
@@ -567,6 +583,14 @@ func (m *ParallelMachine) collect() ParallelResult {
 		stats.PredictorMisses += misses
 		stats.SkippedUpdates += skipped
 	}
+	for _, nd := range m.nodes {
+		if nd.bits != nil {
+			// DVFS's lookups; its updates repeat the home's per node.
+			hits, misses, _, _, _ := nd.bits.Stats()
+			stats.PredictorHits += hits
+			stats.PredictorMisses += misses
+		}
+	}
 
 	res.Result = Result{
 		Breakdown: energy.Collect(timelines, span),
@@ -591,9 +615,10 @@ func (s *Stats) accumulate(o *Stats) {
 	s.ExternalWakes += o.ExternalWakes
 	s.LateWakes += o.LateWakes
 	s.Disables += o.Disables
+	s.DVFSScaled += o.DVFSScaled
+	s.DVFSFreqSum += o.DVFSFreqSum
 	s.FlushLines += o.FlushLines
 	s.OracleSleeps += o.OracleSleeps
-	s.FalseWakeups += o.FalseWakeups
 	s.DroppedWakeups += o.DroppedWakeups
 	s.TimerFailures += o.TimerFailures
 	s.DriftedTimers += o.DriftedTimers
@@ -602,8 +627,8 @@ func (s *Stats) accumulate(o *Stats) {
 	s.InjectedStalls += o.InjectedStalls
 }
 
-// assembleRecords rebuilds the sequential machine's EpisodeRecord shape
-// from the per-node capture plus the home-side release state.
+// assembleRecords builds the EpisodeRecords from the per-node capture
+// plus the home-side release state.
 func (m *ParallelMachine) assembleRecords() []EpisodeRecord {
 	out := make([]EpisodeRecord, 0, m.prog.Phases())
 	for k := 0; k < m.prog.Phases(); k++ {
@@ -648,7 +673,12 @@ func (m *ParallelMachine) startPhase(t, k int, at sim.Cycles) {
 		return
 	}
 	spec := m.prog.Phase(k)
-	dur := nd.cpu.RunSegment(at, spec.Segment(t))
+	var dur sim.Cycles
+	if m.opts.DVFS {
+		dur = m.runSegmentDVFS(nd, at, spec)
+	} else {
+		dur = nd.cpu.RunSegment(at, spec.Segment(t))
+	}
 	if spec.PreemptThread == t && spec.PreemptDelay > 0 {
 		nd.cpu.ChargeCompute(spec.PreemptDelay)
 		dur += spec.PreemptDelay
@@ -665,6 +695,32 @@ func (m *ParallelMachine) startPhase(t, k int, at sim.Cycles) {
 	}
 	arrive := at + dur
 	m.at(t, arrive, sim.Msg{Kind: msgArrive, A: int32(t), B: int32(k), T0: arrive})
+}
+
+// runSegmentDVFS picks a frequency from the predicted slack — the BIT
+// prediction says when the barrier will release, the compute predictor
+// how much work lies ahead — runs the segment scaled, and trains the
+// compute predictor on the f=1-equivalent duration.
+func (m *ParallelMachine) runSegmentDVFS(nd *pnode, at sim.Cycles, spec PhaseSpec) sim.Cycles {
+	f := 1.0
+	var budget sim.Cycles
+	if predC, ok := nd.bst.Predict(spec.PC, nd.id); ok && predC > 0 {
+		if bit, ok := nd.bits.Predict(spec.PC); ok {
+			available := float64(nd.brts+bit-at) * m.opts.DVFSMargin
+			if available > float64(predC) {
+				f = max(float64(predC)/available, m.opts.DVFSMinFreq)
+				budget = predC // ramp to nominal past the predicted work
+			}
+		}
+	}
+	dur, baseEquiv := nd.cpu.RunSegmentDVFS(at, spec.Segment(nd.id), f, budget)
+	nd.bst.Update(spec.PC, nd.id, baseEquiv)
+	rg := m.region(nd.id)
+	if f < 1 {
+		rg.stats.DVFSScaled++
+	}
+	rg.stats.DVFSFreqSum += f
+	return dur
 }
 
 func (m *ParallelMachine) arrive(t, k int, now sim.Cycles) {
@@ -794,6 +850,17 @@ func (m *ParallelMachine) wait(t, k int, ready sim.Cycles) {
 	nd.cpu.ChargeCompute(m.opts.DecisionCost)
 	ready += m.opts.DecisionCost
 	w.readyAt = ready
+	if m.opts.BSTDirect {
+		// Ablation strawman: the stall itself, predicted per (PC, thread)
+		// on this node; no query and no cut-off.
+		stall, ok := nd.bst.Predict(pc, t)
+		if !ok {
+			m.spinArm(t, k, w, ready)
+			return
+		}
+		m.sleepOrSpin(t, k, w, ready, ready+stall)
+		return
+	}
 	if nd.forbidden[pc] {
 		// Cut-off disabled prediction for this (barrier, thread): spin.
 		m.spinArm(t, k, w, ready)
@@ -848,10 +915,15 @@ func (m *ParallelMachine) queryReply(t, k int, w *pwaiter, sent, rr sim.Cycles, 
 		m.spinArm(t, k, w, rr)
 		return
 	}
-	predictedWake := nd.brts + bit
-	stall := predictedWake - rr
+	m.sleepOrSpin(t, k, w, rr, nd.brts+bit)
+}
+
+// sleepOrSpin picks the deepest sleep state whose round trip (and flush)
+// fits the predicted stall up to predictedWake, or spins when none does.
+func (m *ParallelMachine) sleepOrSpin(t, k int, w *pwaiter, at, predictedWake sim.Cycles) {
+	stall := predictedWake - at
 	if stall <= 0 {
-		m.spinArm(t, k, w, rr)
+		m.spinArm(t, k, w, at)
 		return
 	}
 	flushEst := sim.Cycles(0)
@@ -861,10 +933,10 @@ func (m *ParallelMachine) queryReply(t, k int, w *pwaiter, sent, rr sim.Cycles, 
 	}
 	fit := m.model.BestFit(stall, flushEst)
 	if !fit.OK {
-		m.spinArm(t, k, w, rr)
+		m.spinArm(t, k, w, at)
 		return
 	}
-	m.goToSleep(t, k, w, fit.State, rr, predictedWake)
+	m.goToSleep(t, k, w, fit.State, at, predictedWake)
 }
 
 // spinArm registers w as a conventional spinner: a real flag read that
@@ -884,8 +956,8 @@ func (m *ParallelMachine) flagReadSend(t, k int, w *pwaiter, purpose readPurpose
 }
 
 // homeFlagRead services a flag read at its home. The reply carries the
-// home's view at service time: flipped or not, and the release's BIT
-// when flipped.
+// home's view at service time: flipped or not, and, when flipped, the
+// release's BIT and the releaser's timestamp.
 func (m *ParallelMachine) homeFlagRead(t, k int, gen int32, purpose readPurpose, at, arr sim.Cycles) {
 	pc := m.prog.Phase(k).PC
 	mt := m.meta(pc)
@@ -899,10 +971,10 @@ func (m *ParallelMachine) homeFlagRead(t, k int, gen int32, purpose readPurpose,
 		m.flagFor(rg, pc).sharers.add(t)
 	}
 	m.send(h, t, rr, sim.Msg{Kind: msgFlagReadReply, A: int32(t), B: int32(k), C: gen, D: int32(purpose),
-		Flags: flagIf(ep.released, flagFlipped), T0: at, T1: rr, T2: ep.bit})
+		Flags: flagIf(ep.released, flagFlipped), T0: at, T1: rr, T2: ep.bit, T3: ep.releaseAt})
 }
 
-func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpose, sent, rr sim.Cycles, flipped bool, bit sim.Cycles) {
+func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpose, sent, rr sim.Cycles, flipped bool, bit, releaseAt sim.Cycles) {
 	nd := m.nodes[t]
 	rg := m.region(t)
 	lat := rr - sent
@@ -942,7 +1014,14 @@ func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpos
 	case readVerifyTimer:
 		nd.cpu.ChargeSpin(lat)
 		if flipped {
-			rg.stats.LateWakes++
+			// Late only if the timer fired at or after the release
+			// (§3.3.2); one that fired before it woke early and found the
+			// flag flipped while the CPU came up.
+			if w.firedAt >= releaseAt {
+				rg.stats.LateWakes++
+			} else {
+				rg.stats.EarlyWakes++
+			}
 			m.depart(t, k, w, rr, bit)
 			return
 		}
@@ -956,21 +1035,9 @@ func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpos
 		}
 
 	case readVerifyIPI:
+		// Wake-up IPIs are sent only by homeRelease, after the flag flipped.
 		nd.cpu.ChargeSpin(lat)
-		if flipped {
-			m.depart(t, k, w, rr, bit)
-			return
-		}
-		// False wake-up (§3.3.1): invalidated without a release. The
-		// thread residual-spins; the eventual release resolves it.
-		rg.stats.FalseWakeups++
-		w.kind = waitResidualSpin
-		w.spinFrom = rr
-		w.armed = true
-		if w.pendingWake && !w.resolving {
-			w.resolving = true
-			m.flagReadSend(t, k, w, readResolve, rr)
-		}
+		m.depart(t, k, w, rr, bit)
 
 	case readResolve:
 		from := w.spinFrom
@@ -1074,8 +1141,7 @@ func (m *ParallelMachine) enterSleep(t, k int, w *pwaiter, ready sim.Cycles) {
 	}
 	if w.pendingWake && w.externalLive {
 		// The release invalidation arrived during the entry transition:
-		// zero residency, exit immediately (the sequential machine's
-		// at < sleepStart clamp).
+		// zero residency, exit immediately.
 		m.externalWake(t, k, w, w.sleepStart)
 	}
 }
@@ -1090,6 +1156,7 @@ func (m *ParallelMachine) internalWake(t, k int, w *pwaiter, now sim.Cycles, rec
 		rg.stats.Recoveries++
 	}
 	w.woken = true
+	w.firedAt = now
 	w.timerArmed = false
 	w.timer = sim.Handle{}
 	w.externalLive = false // ignore a late release delivery; the verify read decides
@@ -1198,7 +1265,7 @@ func (m *ParallelMachine) homeRelease(t, k int, sent, arr sim.Cycles, bit sim.Cy
 	ep := m.flagEp(rg, pc, k)
 	R := arr + ch.DirLookup + rg.proto.Memory(m.local(h)).Access(mt.flagAddr) + ch.Bus
 	ep.released = true
-	ep.releaseAt = R
+	ep.releaseAt = sent // the releaser's timestamp, which BIT measures to
 	ep.bit = bit
 
 	var ackMax sim.Cycles
@@ -1276,8 +1343,9 @@ func (m *ParallelMachine) delivery(s, k int, inv sim.Cycles, bit sim.Cycles) {
 }
 
 // resolveOracleAt settles an oracle waiter analytically at release time
-// R, exactly like the sequential machine but with the post-release flag
-// fetch priced from the home side.
+// R: with perfect BIT prediction the thread sleeps exactly when worthwhile
+// and is executing again at the release (§5.1's Oracle-Halt and Ideal);
+// the post-release flag fetch is priced from the home side.
 func (m *ParallelMachine) resolveOracleAt(rg *pregion, h int, pc uint64, k int, ep *pflagEp, r pReg, R sim.Cycles) {
 	mt := m.meta(pc)
 	ch := m.arch.Coherence
@@ -1368,6 +1436,14 @@ func (m *ParallelMachine) depart(t, k int, w *pwaiter, dep sim.Cycles, bit sim.C
 			nd.forbidden[w.pc] = true
 			m.region(t).stats.Disables++
 		}
+	}
+	if m.opts.BSTDirect && w != nil && nd.brts >= w.readyAt {
+		// The direct-BST strawman learns the observed stall. A spinner
+		// that became ready only after the release never stalled.
+		nd.bst.Update(w.pc, t, nd.brts-w.readyAt)
+	}
+	if nd.bits != nil {
+		nd.bits.Update(m.prog.Phase(k).PC, bit)
 	}
 
 	if m.record {

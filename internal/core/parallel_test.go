@@ -23,9 +23,9 @@ func parallelArch(nodes, regionNodes int) Arch {
 // statsLine renders Stats deterministically (sorted Sleeps keys).
 func statsLine(s Stats) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ep=%d sp=%d yl=%d ew=%d xw=%d lw=%d dis=%d fl=%d os=%d fw=%d ph=%d pm=%d su=%d dw=%d tf=%d dt=%d rc=%d ip=%d is=%d",
+	fmt.Fprintf(&b, "ep=%d sp=%d yl=%d ew=%d xw=%d lw=%d dis=%d dv=%d df=%016x fl=%d os=%d ph=%d pm=%d su=%d dw=%d tf=%d dt=%d rc=%d ip=%d is=%d",
 		s.Episodes, s.Spins, s.Yields, s.EarlyWakes, s.ExternalWakes, s.LateWakes,
-		s.Disables, s.FlushLines, s.OracleSleeps, s.FalseWakeups,
+		s.Disables, s.DVFSScaled, math.Float64bits(s.DVFSFreqSum), s.FlushLines, s.OracleSleeps,
 		s.PredictorHits, s.PredictorMisses, s.SkippedUpdates,
 		s.DroppedWakeups, s.TimerFailures, s.DriftedTimers, s.Recoveries,
 		s.InjectedPreempts, s.InjectedStalls)
@@ -53,12 +53,13 @@ func parallelDigest(r ParallelResult) uint64 {
 	return h.Sum64()
 }
 
-func parallelRun(t *testing.T, arch Arch, opts Options, prog Program, shards int) ParallelResult {
+func parallelRun(t *testing.T, arch Arch, opts Options, prog Program, shards int, record bool) ParallelResult {
 	t.Helper()
 	m, err := NewParallelMachine(arch, opts)
 	if err != nil {
 		t.Fatalf("NewParallelMachine: %v", err)
 	}
+	m.SetRecording(record)
 	return m.Run(prog, shards)
 }
 
@@ -92,17 +93,23 @@ func TestParallelBitIdenticalAcrossShards(t *testing.T) {
 			o.Wakeup = WakeupInternal
 			return o
 		}()},
+		{"dvfs-flat", DVFSReclaim()},
+		{"bstdirect-flat", func() Options {
+			o := Thrifty()
+			o.BSTDirect = true
+			return o
+		}()},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ref := parallelRun(t, arch, tc.opts, prog, 0)
+			ref := parallelRun(t, arch, tc.opts, prog, 0, false)
 			want := parallelDigest(ref)
 			if ref.Span == 0 || ref.Events == 0 {
 				t.Fatalf("degenerate reference run: span=%v events=%d", ref.Span, ref.Events)
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
-				got := parallelRun(t, arch, tc.opts, prog, shards)
+				got := parallelRun(t, arch, tc.opts, prog, shards, false)
 				if d := parallelDigest(got); d != want {
 					t.Errorf("shards=%d digest %016x != reference %016x (span %v vs %v, events %d vs %d)",
 						shards, d, want, got.Span, ref.Span, got.Events, ref.Events)
@@ -117,7 +124,7 @@ func TestParallelBitIdenticalAcrossShards(t *testing.T) {
 func TestParallelThriftySleepsAndPredicts(t *testing.T) {
 	arch := parallelArch(64, 8)
 	prog := UniformProgram(0x410, 10, imbalancedWork(150_000, 400_000))
-	r := parallelRun(t, arch, Thrifty(), prog, 4)
+	r := parallelRun(t, arch, Thrifty(), prog, 4, false)
 	if int(r.Stats.Episodes) != prog.Phases() {
 		t.Errorf("episodes = %d, want %d", r.Stats.Episodes, prog.Phases())
 	}
@@ -131,15 +138,15 @@ func TestParallelThriftySleepsAndPredicts(t *testing.T) {
 	if r.Stats.PredictorHits+r.Stats.PredictorMisses == 0 {
 		t.Error("predictor never consulted")
 	}
-	base := parallelRun(t, arch, Baseline(), prog, 4)
+	base := parallelRun(t, arch, Baseline(), prog, 4, false)
 	if r.Breakdown.TotalEnergy() >= base.Breakdown.TotalEnergy() {
 		t.Errorf("thrifty energy %.3g not below baseline %.3g", r.Breakdown.TotalEnergy(), base.Breakdown.TotalEnergy())
 	}
 }
 
-// Records must carry the same episode skeleton as the sequential
-// machine: monotone release times, a releaser per phase, and departures
-// at or after the release.
+// Records assembled across shards carry the episode skeleton: a release
+// per phase, a releaser per phase, and departures at or after the
+// release.
 func TestParallelRecords(t *testing.T) {
 	arch := parallelArch(64, 8)
 	prog := UniformProgram(0x420, 4, imbalancedWork(100_000, 300_000))
@@ -201,15 +208,6 @@ func TestParallelLookaheadViolationPanics(t *testing.T) {
 
 func TestNewParallelMachineRejections(t *testing.T) {
 	arch := parallelArch(64, 8)
-	dvfs := DVFSReclaim()
-	if _, err := NewParallelMachine(arch, dvfs); err == nil {
-		t.Error("DVFS accepted")
-	}
-	bst := Thrifty()
-	bst.BSTDirect = true
-	if _, err := NewParallelMachine(arch, bst); err == nil {
-		t.Error("BSTDirect accepted")
-	}
 	bad := arch
 	bad.RegionNodes = 24
 	if _, err := NewParallelMachine(bad, Baseline()); err == nil {
@@ -221,14 +219,6 @@ func TestNewParallelMachineRejections(t *testing.T) {
 	if err := noct.Validate(); err == nil {
 		t.Error("NoCTree with TreeArity accepted by Validate")
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMachine accepted NoCTree without panicking")
-		}
-	}()
-	ok := Baseline()
-	ok.Topology = TopologyNoCTree
-	NewMachine(arch, ok)
 }
 
 // Shard counts beyond the region count clamp instead of fragmenting
@@ -282,5 +272,32 @@ func TestStaleWaitReplyDropped(t *testing.T) {
 	}
 	if m.waiter(node, w.gen) == nil {
 		t.Fatal("the next wait is not live")
+	}
+}
+
+// A timer wake is late (§3.3.2) only when the timer fired at or after
+// the releaser's timestamp, which the verify reply carries. A timer that
+// fired before it is an early wake, even when the flag flipped while the
+// CPU was coming up and the verify read finds it flipped.
+func TestLateWakeCountedByTimerTime(t *testing.T) {
+	const node, release = 3, 1000
+	for _, fired := range []sim.Cycles{release - 1, release, release + 1} {
+		m, err := NewParallelMachine(parallelArch(8, 8), ThriftyHalt())
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.prog = UniformProgram(0x400, 2, imbalancedWork(1000, 0))
+		m.meta(0x400)
+		m.shards, m.eng = 1, sim.NewEngine()
+		m.wait(node, 0, 100)
+		w := &m.nodes[node].w
+		w.kind, w.firedAt = waitSleep, fired
+		m.flagReadReply(node, 0, w, readVerifyTimer, fired+100, fired+200, true, release, release)
+		st := m.region(node).stats
+		wantLate := fired >= release
+		if got := st.LateWakes == 1; got != wantLate || st.LateWakes+st.EarlyWakes != 1 {
+			t.Errorf("timer fired at %d, release at %d: late=%d early=%d, want late=%v",
+				fired, release, st.LateWakes, st.EarlyWakes, wantLate)
+		}
 	}
 }

@@ -21,8 +21,7 @@ const (
 	// counter homed on the region's leader node, and each upper level
 	// pairs surviving region leaders along one hypercube dimension of the
 	// region index, so every combining message crosses exactly one more
-	// network dimension than the level below. Only the sharded
-	// ParallelMachine supports it.
+	// network dimension than the level below.
 	TopologyNoCTree
 )
 
@@ -78,8 +77,7 @@ type pLevel struct {
 	groups []pGroup
 }
 
-// pShape is the explicit multi-level check-in fabric of the sharded
-// machine: every (level, group) has a fixed counter line and home node,
+// pShape is the explicit multi-level check-in fabric of the machine: every (level, group) has a fixed counter line and home node,
 // so check-in traffic is plain home-node messaging. Thread t starts in
 // level-0 group t/levels[0].radix; the last arrival of level l group g
 // climbs to level l+1 group g/levels[l+1].radix.
@@ -93,8 +91,7 @@ const countPageLines = flagOffset / 64
 
 // buildShape lays out the fabric for one static barrier. Counter lines
 // fill the barrier's count page and then the tail of its flag page; a
-// machine too large for that address budget panics, mirroring the
-// sequential machine's tree-size check.
+// machine too large for that address budget panics.
 func buildShape(topo Topology, arity, nodes, regionNodes int, countAddr, flagAddr uint64, place *dram.Placement) pShape {
 	radixAt := func(level, members int) int {
 		switch topo {

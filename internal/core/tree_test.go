@@ -4,44 +4,56 @@ import (
 	"testing"
 
 	"thriftybarrier/internal/cpu"
+	"thriftybarrier/internal/mem/dram"
 	"thriftybarrier/internal/sim"
 )
 
+// treeSizes lays out the fixed-arity combining tree of one barrier and
+// returns its group sizes per level.
+func treeSizes(nodes, arity int) [][]int {
+	count := barrierBase
+	sh := buildShape(TopologyTree, arity, nodes, nodes, count, count+flagOffset, dram.NewPlacement(nodes, 4096))
+	out := make([][]int, len(sh.levels))
+	for l, lv := range sh.levels {
+		for _, g := range lv.groups {
+			out[l] = append(out[l], g.size)
+		}
+	}
+	return out
+}
+
 func TestTreeShape(t *testing.T) {
-	s := newTreeShape(64, 8)
-	if len(s.childCount) != 2 {
-		t.Fatalf("levels = %d, want 2 (64 = 8*8)", len(s.childCount))
+	s := treeSizes(64, 8)
+	if len(s) != 2 {
+		t.Fatalf("levels = %d, want 2 (64 = 8*8)", len(s))
 	}
-	if len(s.childCount[0]) != 8 || len(s.childCount[1]) != 1 {
-		t.Fatalf("groups per level = %d,%d", len(s.childCount[0]), len(s.childCount[1]))
+	if len(s[0]) != 8 || len(s[1]) != 1 {
+		t.Fatalf("groups per level = %d,%d", len(s[0]), len(s[1]))
 	}
-	for _, c := range s.childCount[0] {
+	for _, c := range s[0] {
 		if c != 8 {
 			t.Fatalf("level-0 group size %d, want 8", c)
 		}
 	}
-	if s.childCount[1][0] != 8 {
-		t.Fatalf("root group size %d, want 8", s.childCount[1][0])
-	}
-	if s.lines != 9 {
-		t.Fatalf("counter lines = %d, want 9", s.lines)
+	if s[1][0] != 8 {
+		t.Fatalf("root group size %d, want 8", s[1][0])
 	}
 }
 
 func TestTreeShapeRagged(t *testing.T) {
 	// 8 nodes, arity 3: level 0 groups of 3,3,2; level 1 root of 3.
-	s := newTreeShape(8, 3)
-	if len(s.childCount) != 2 {
-		t.Fatalf("levels = %d", len(s.childCount))
+	s := treeSizes(8, 3)
+	if len(s) != 2 {
+		t.Fatalf("levels = %d", len(s))
 	}
 	want0 := []int{3, 3, 2}
 	for i, w := range want0 {
-		if s.childCount[0][i] != w {
-			t.Fatalf("level-0 sizes %v, want %v", s.childCount[0], want0)
+		if s[0][i] != w {
+			t.Fatalf("level-0 sizes %v, want %v", s[0], want0)
 		}
 	}
-	if s.childCount[1][0] != 3 {
-		t.Fatalf("root size %d, want 3", s.childCount[1][0])
+	if s[1][0] != 3 {
+		t.Fatalf("root size %d, want 3", s[1][0])
 	}
 }
 

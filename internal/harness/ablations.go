@@ -28,11 +28,11 @@ type AblationRow struct {
 func AblationCutoff(arch core.Arch, seed uint64) []AblationRow {
 	spec := workload.Ocean()
 	prog := spec.Build(arch.Nodes, seed)
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 
 	var rows []AblationRow
 	add := func(variant string, opts core.Options) {
-		res := core.NewMachine(arch, opts).Run(prog)
+		res := core.Simulate(arch, opts, prog, false)
 		n := res.Breakdown.Normalize(base.Breakdown)
 		rows = append(rows, AblationRow{
 			App: spec.Name, Variant: variant,
@@ -61,11 +61,11 @@ func AblationWakeup(arch core.Arch, seed uint64) []AblationRow {
 	var rows []AblationRow
 	for _, spec := range []workload.Spec{workload.FMM(), workload.Ocean()} {
 		prog := spec.Build(arch.Nodes, seed)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
 		for _, mode := range []core.WakeupMode{core.WakeupHybrid, core.WakeupExternal, core.WakeupInternal} {
 			opts := core.Thrifty()
 			opts.Wakeup = mode
-			res := core.NewMachine(arch, opts).Run(prog)
+			res := core.Simulate(arch, opts, prog, false)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, AblationRow{
 				App: spec.Name, Variant: mode.String(),
@@ -97,11 +97,11 @@ func AblationPredictor(arch core.Arch, seed uint64) []AblationRow {
 	}
 	for _, spec := range []workload.Spec{workload.FMM(), workload.Barnes()} {
 		prog := spec.Build(arch.Nodes, seed)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
 		for _, v := range variants {
 			opts := core.Thrifty()
 			v.mut(&opts)
-			res := core.NewMachine(arch, opts).Run(prog)
+			res := core.Simulate(arch, opts, prog, false)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, AblationRow{
 				App: spec.Name, Variant: v.name,
@@ -121,13 +121,13 @@ func AblationConventional(arch core.Arch, seed uint64) []AblationRow {
 	var rows []AblationRow
 	for _, spec := range []workload.Spec{workload.FMM(), workload.Ocean()} {
 		prog := spec.Build(arch.Nodes, seed)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
 		for _, opts := range []core.Options{
 			core.TimeShare(200 * sim.Microsecond),
 			core.UnconditionalHalt(), core.SpinThenHalt(),
 			core.ThriftyHalt(), core.OracleHalt(), core.Thrifty(),
 		} {
-			res := core.NewMachine(arch, opts).Run(prog)
+			res := core.Simulate(arch, opts, prog, false)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, AblationRow{
 				App: spec.Name, Variant: opts.Name,
@@ -150,13 +150,13 @@ func AblationPreempt(arch core.Arch, seed uint64) []AblationRow {
 		prog[i].PreemptThread = (i * 13) % arch.Nodes
 		prog[i].PreemptDelay = 5 * sim.Millisecond
 	}
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 
 	var rows []AblationRow
 	for _, factor := range []float64{0, 2, 4, 8} {
 		opts := core.Thrifty()
 		opts.Predictor.UnderpredictFactor = factor
-		res := core.NewMachine(arch, opts).Run(prog)
+		res := core.Simulate(arch, opts, prog, false)
 		n := res.Breakdown.Normalize(base.Breakdown)
 		name := "filter=off"
 		if factor > 0 {
@@ -183,11 +183,11 @@ func AblationPreempt(arch core.Arch, seed uint64) []AblationRow {
 func AblationFaults(arch core.Arch, seed uint64) []AblationRow {
 	spec := workload.FMM()
 	prog := spec.Build(arch.Nodes, seed)
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 
 	var rows []AblationRow
 	add := func(variant string, opts core.Options) {
-		res := core.NewMachine(arch, opts).Run(prog)
+		res := core.Simulate(arch, opts, prog, false)
 		n := res.Breakdown.Normalize(base.Breakdown)
 		rows = append(rows, AblationRow{
 			App: spec.Name, Variant: variant,
@@ -243,7 +243,7 @@ func AblationStraggler(arch core.Arch, seed uint64) []AblationRow {
 			}},
 		}
 		prog := spec.Build(arch.Nodes, seed)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
 		name := "pinned straggler"
 		if rotate {
 			name = "rotating straggler"
@@ -257,7 +257,7 @@ func AblationStraggler(arch core.Arch, seed uint64) []AblationRow {
 		} {
 			opts := core.Thrifty()
 			variant.mut(&opts)
-			res := core.NewMachine(arch, opts).Run(prog)
+			res := core.Simulate(arch, opts, prog, false)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, AblationRow{
 				App: name, Variant: variant.label,
@@ -276,9 +276,9 @@ func AblationDVFS(arch core.Arch, seed uint64) []AblationRow {
 	var rows []AblationRow
 	for _, spec := range []workload.Spec{workload.Volrend(), workload.FMM(), workload.Ocean()} {
 		prog := spec.Build(arch.Nodes, seed)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
 		for _, opts := range []core.Options{core.DVFSReclaim(), core.ThriftyHalt(), core.Thrifty()} {
-			res := core.NewMachine(arch, opts).Run(prog)
+			res := core.Simulate(arch, opts, prog, false)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, AblationRow{
 				App: spec.Name, Variant: opts.Name,

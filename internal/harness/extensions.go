@@ -30,9 +30,9 @@ func SensitivityNodes(seed uint64) []SensitivityRow {
 	for _, n := range []int{8, 16, 32, 64} {
 		arch := core.DefaultArch().WithNodes(n)
 		prog := spec.Build(n, seed)
-		base := core.NewMachine(arch, core.Baseline()).Run(prog)
-		thr := core.NewMachine(arch, core.Thrifty()).Run(prog)
-		hlt := core.NewMachine(arch, core.ThriftyHalt()).Run(prog)
+		base := core.Simulate(arch, core.Baseline(), prog, false)
+		thr := core.Simulate(arch, core.Thrifty(), prog, false)
+		hlt := core.Simulate(arch, core.ThriftyHalt(), prog, false)
 		nt := thr.Breakdown.Normalize(base.Breakdown)
 		nh := hlt.Breakdown.Normalize(base.Breakdown)
 		rows = append(rows, SensitivityRow{
@@ -51,7 +51,7 @@ func SensitivityTransition(seed uint64) []SensitivityRow {
 	spec := workload.FMM()
 	arch := core.DefaultArch()
 	prog := spec.Build(arch.Nodes, seed)
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 	for _, scale := range []float64{0.5, 1, 2, 4, 8} {
 		states := power.Table3()
 		for i := range states {
@@ -59,7 +59,7 @@ func SensitivityTransition(seed uint64) []SensitivityRow {
 		}
 		opts := core.Thrifty()
 		opts.States = states
-		thr := core.NewMachine(arch, opts).Run(prog)
+		thr := core.Simulate(arch, opts, prog, false)
 		n := thr.Breakdown.Normalize(base.Breakdown)
 		rows = append(rows, SensitivityRow{
 			Param:  fmt.Sprintf("%.1fx latency", scale),
@@ -85,7 +85,7 @@ func AblationTopology(arch core.Arch, seed uint64) []AblationRow {
 		{"Ocean", workload.Ocean().Build(arch.Nodes, seed)},
 	}
 	for _, c := range cases {
-		base := core.NewMachine(arch, core.Baseline()).Run(c.prog)
+		base := core.Simulate(arch, core.Baseline(), c.prog, false)
 		for _, arity := range []int{0, 4, 8} {
 			opts := core.Thrifty()
 			opts.TreeArity = arity
@@ -93,7 +93,7 @@ func AblationTopology(arch core.Arch, seed uint64) []AblationRow {
 			if arity > 0 {
 				name = fmt.Sprintf("tree-%d", arity)
 			}
-			res := core.NewMachine(arch, opts).Run(c.prog)
+			res := core.Simulate(arch, opts, c.prog, false)
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, AblationRow{
 				App: c.name, Variant: name,
@@ -110,10 +110,10 @@ func AblationTopology(arch core.Arch, seed uint64) []AblationRow {
 func AblationConfidence(arch core.Arch, seed uint64) []AblationRow {
 	spec := workload.Ocean()
 	prog := spec.Build(arch.Nodes, seed)
-	base := core.NewMachine(arch, core.Baseline()).Run(prog)
+	base := core.Simulate(arch, core.Baseline(), prog, false)
 	var rows []AblationRow
 	add := func(name string, opts core.Options) {
-		res := core.NewMachine(arch, opts).Run(prog)
+		res := core.Simulate(arch, opts, prog, false)
 		n := res.Breakdown.Normalize(base.Breakdown)
 		rows = append(rows, AblationRow{
 			App: spec.Name, Variant: name,
@@ -313,9 +313,7 @@ func BarrierRoundLatency(nodes, arity int, seed uint64) sim.Cycles {
 	prog := core.UniformProgram(0x1, 3, func(instance, thread int) cpu.Segment {
 		return cpu.Segment{Instructions: 2000} // ~1us: simultaneous arrivals
 	})
-	m := core.NewMachine(arch, opts)
-	m.SetRecording(true)
-	res := m.Run(prog)
+	res := core.Simulate(arch, opts, prog, true)
 	// Use the last episode (warm caches): release-to-last-departure
 	// plus arrival serialization = span of the episode beyond compute.
 	ep := res.Episodes[len(res.Episodes)-1]

@@ -154,9 +154,7 @@ func Figure3(arch core.Arch, seed uint64, observer, firstIteration, iterations i
 	validateObserver(arch, observer)
 	spec := workload.FMM()
 	prog := spec.Build(arch.Nodes, seed)
-	m := core.NewMachine(arch, core.Baseline())
-	m.SetRecording(true)
-	res := m.Run(prog)
+	res := core.Simulate(arch, core.Baseline(), prog, true)
 
 	perIter := len(spec.Loop)
 	labels := make([]string, perIter)
@@ -241,7 +239,7 @@ type Table2Row struct {
 func Table2(arch core.Arch, seed uint64) []Table2Row {
 	var out []Table2Row
 	for _, spec := range workload.All() {
-		res := core.NewMachine(arch, core.Baseline()).Run(spec.Build(arch.Nodes, seed))
+		res := core.Simulate(arch, core.Baseline(), spec.Build(arch.Nodes, seed), false)
 		out = append(out, Table2Row{
 			App:         spec.Name,
 			ProblemSize: spec.ProblemSize,

@@ -156,7 +156,7 @@ func (r *Runner) RunMatrix(arch core.Arch, seed uint64, specs []workload.Spec, c
 				Name: spec.Name + "/" + opts.Name,
 				Run: func() (string, any) {
 					prog := spec.Build(arch.Nodes, seed)
-					return "", core.NewMachine(arch, opts).Run(prog)
+					return "", core.Simulate(arch, opts, prog, false)
 				},
 			})
 		}

@@ -116,7 +116,7 @@ func TestDoBoundsConcurrency(t *testing.T) {
 func TestRunMatrixBaselineFailure(t *testing.T) {
 	arch := core.DefaultArch().WithNodes(4)
 	specs := workload.All()[:1]
-	// Cutoff < 0 fails Options.Validate, so NewMachine panics inside the
+	// Cutoff < 0 fails Options.Validate, so core.Simulate panics inside the
 	// cell; the runner must recover it into ConfigRun.Err.
 	bad := core.Baseline()
 	bad.Cutoff = -1

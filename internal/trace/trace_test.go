@@ -18,9 +18,7 @@ func recordedRun(t *testing.T, opts core.Options) []core.EpisodeRecord {
 		}
 		return cpu.Segment{Instructions: insns}
 	})
-	m := core.NewMachine(arch, opts)
-	m.SetRecording(true)
-	return m.Run(prog).Episodes
+	return core.Simulate(arch, opts, prog, true).Episodes
 }
 
 type traceFile struct {

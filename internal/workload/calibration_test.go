@@ -19,8 +19,7 @@ func TestTable2Calibration(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			prog := s.Build(64, 1)
-			m := core.NewMachine(arch, core.Baseline())
-			res := m.Run(prog)
+			res := core.Simulate(arch, core.Baseline(), prog, false)
 			got := res.Breakdown.SpinFraction()
 			want := s.TargetImbalance
 			tol := 0.15 * want
@@ -44,7 +43,7 @@ func TestTable2OrderingPreserved(t *testing.T) {
 	arch := core.DefaultArch()
 	var measured []float64
 	for _, s := range All() {
-		res := core.NewMachine(arch, core.Baseline()).Run(s.Build(64, 1))
+		res := core.Simulate(arch, core.Baseline(), s.Build(64, 1), false)
 		measured = append(measured, res.Breakdown.SpinFraction())
 	}
 	for i := 1; i < len(measured); i++ {

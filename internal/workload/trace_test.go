@@ -60,8 +60,7 @@ func TestBuildTraceRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	arch := core.DefaultArch().WithNodes(4)
-	res := core.NewMachine(arch, core.Baseline())
-	out := res.Run(prog)
+	out := core.Simulate(arch, core.Baseline(), prog, false)
 	if out.Stats.Episodes != 4 {
 		t.Fatalf("episodes = %d, want 4", out.Stats.Episodes)
 	}

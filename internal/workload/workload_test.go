@@ -230,8 +230,7 @@ func TestAllAppsRunEndToEnd(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			prog := s.Build(8, 1)
 			for _, opts := range []core.Options{core.Baseline(), core.Thrifty()} {
-				m := core.NewMachine(arch, opts)
-				res := m.Run(prog)
+				res := core.Simulate(arch, opts, prog, false)
 				if res.Stats.Episodes != s.Phases() {
 					t.Fatalf("%s/%s: %d episodes, want %d", s.Name, opts.Name, res.Stats.Episodes, s.Phases())
 				}
