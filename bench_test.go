@@ -287,7 +287,7 @@ func BenchmarkCoherenceFlushForSleep(b *testing.B) {
 				for l := 0; l < 64; l++ {
 					p.Write(0, uint64(l)<<6, now)
 				}
-				p.FlushForSleep(0, now)
+				p.FlushForSleep(0)
 			}
 		})
 	}

@@ -126,7 +126,7 @@ type EpisodeRecord struct {
 	BIT       sim.Cycles
 	Arrive    []sim.Cycles
 	Depart    []sim.Cycles
-	// Waits describes how each thread waited (empty Kind for the
+	// Waits describes how each thread waited (Kind "release" for the
 	// releasing thread).
 	Waits []ThreadWait
 }

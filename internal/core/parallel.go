@@ -110,11 +110,20 @@ type pregion struct {
 	proto *coherence.Protocol
 	table *predict.Table // BIT entries for PCs whose flag homes here
 
-	counts     map[ckey]*pcount
-	flags      map[uint64]*pflag
-	lastThread map[int]int // phase -> releaser, for root groups homed here
+	counts map[ckey]*pcount
+	flags  map[uint64]*pflag
+	// releases[k] is phase k's release as its root counter's home saw it,
+	// for root counters homed here; filled only while recording.
+	releases []pRelease
 
 	stats Stats
+}
+
+// pRelease is one phase's releaser, its timestamp and the BIT it measured.
+type pRelease struct {
+	thread int
+	at     sim.Cycles
+	bit    sim.Cycles
 }
 
 // ckey identifies one combining counter homed in a region.
@@ -125,16 +134,21 @@ type ckey struct {
 }
 
 // pcount is the home-side state of one combining counter: the analytic
-// lock-release time and the per-phase check-in tally.
+// lock-release time and the check-in tally of the episode it serves. A
+// counter serves one episode at a time: its release needs every check-in,
+// and nobody checks into the barrier's next episode before the release.
 type pcount struct {
 	lockFree sim.Cycles
-	byPhase  map[int]int
+	tally    int
 }
 
-// pflag is the home-side state of one barrier flag line.
+// pflag is the home-side state of one barrier flag line. byPhase holds the
+// live episodes, at most two: the last released one, lastRelease, and the
+// next. Every episode before lastRelease has been dropped.
 type pflag struct {
-	sharers nodeset
-	byPhase map[int]*pflagEp
+	sharers     nodeset
+	byPhase     map[int]*pflagEp
+	lastRelease int
 }
 
 // pflagEp is one dynamic episode as the flag's home sees it.
@@ -268,12 +282,11 @@ func NewParallelMachine(arch Arch, opts Options) (*ParallelMachine, error) {
 		rnet := noc.New(rnoc)
 		rplace := dram.NewPlacement(rn, arch.PageBytes)
 		m.regions[r] = &pregion{
-			id:         r,
-			proto:      coherence.New(rcfg, rnet, rplace),
-			table:      predict.NewTable(opts.Predictor),
-			counts:     make(map[ckey]*pcount),
-			flags:      make(map[uint64]*pflag),
-			lastThread: make(map[int]int),
+			id:     r,
+			proto:  coherence.New(rcfg, rnet, rplace),
+			table:  predict.NewTable(opts.Predictor),
+			counts: make(map[ckey]*pcount),
+			flags:  make(map[uint64]*pflag),
 		}
 		m.regions[r].stats.Sleeps = make(map[string]int)
 	}
@@ -508,11 +521,14 @@ func (m *ParallelMachine) Run(prog Program, shards int) ParallelResult {
 	for k := 0; k < prog.Phases(); k++ {
 		m.meta(prog.Phase(k).PC)
 	}
-	for _, nd := range m.nodes {
-		if m.record {
+	if m.record {
+		for _, nd := range m.nodes {
 			nd.arriveAt = make([]sim.Cycles, prog.Phases())
 			nd.departAt = make([]sim.Cycles, prog.Phases())
 			nd.waits = make([]ThreadWait, prog.Phases())
+		}
+		for _, rg := range m.regions {
+			rg.releases = make([]pRelease, prog.Phases())
 		}
 	}
 
@@ -628,29 +644,23 @@ func (s *Stats) accumulate(o *Stats) {
 }
 
 // assembleRecords builds the EpisodeRecords from the per-node capture
-// plus the home-side release state.
+// plus the releases the root counters' homes saw.
 func (m *ParallelMachine) assembleRecords() []EpisodeRecord {
 	out := make([]EpisodeRecord, 0, m.prog.Phases())
 	for k := 0; k < m.prog.Phases(); k++ {
 		pc := m.prog.Phase(k).PC
-		mt := m.pcs[pc]
+		shape := m.pcs[pc].shape
+		rel := m.region(shape.levels[len(shape.levels)-1].groups[0].home).releases[k]
 		rec := EpisodeRecord{
-			Phase:  k,
-			PC:     pc,
-			Arrive: make([]sim.Cycles, m.arch.Nodes),
-			Depart: make([]sim.Cycles, m.arch.Nodes),
-			Waits:  make([]ThreadWait, m.arch.Nodes),
+			Phase:     k,
+			PC:        pc,
+			ReleaseAt: rel.at,
+			BIT:       rel.bit,
+			Arrive:    make([]sim.Cycles, m.arch.Nodes),
+			Depart:    make([]sim.Cycles, m.arch.Nodes),
+			Waits:     make([]ThreadWait, m.arch.Nodes),
 		}
-		if f := m.region(mt.flagHome).flags[pc]; f != nil {
-			if ep := f.byPhase[k]; ep != nil {
-				rec.ReleaseAt = ep.releaseAt
-				rec.BIT = ep.bit
-			}
-		}
-		root := mt.shape.levels[len(mt.shape.levels)-1].groups[0]
-		if last, ok := m.region(root.home).lastThread[k]; ok {
-			rec.Waits[last] = ThreadWait{Kind: "release"}
-		}
+		rec.Waits[rel.thread] = ThreadWait{Kind: "release"}
 		for t, nd := range m.nodes {
 			rec.Arrive[t] = nd.arriveAt[k]
 			rec.Depart[t] = nd.departAt[k]
@@ -754,7 +764,7 @@ func (m *ParallelMachine) homeCheckin(t, k, level, group int, arr sim.Cycles, br
 	key := ckey{pc: pc, level: level, group: group}
 	c := rg.counts[key]
 	if c == nil {
-		c = &pcount{byPhase: make(map[int]int)}
+		c = &pcount{}
 		rg.counts[key] = c
 	}
 	start := arr
@@ -768,19 +778,22 @@ func (m *ParallelMachine) homeCheckin(t, k, level, group int, arr sim.Cycles, br
 	// notification returns to the home.
 	c.lockFree = done + m.net.Latency(t, g.home, ch.CtrlBytes)
 
-	c.byPhase[k]++
-	lastOfGroup := c.byPhase[k] == g.size
+	c.tally++
+	lastOfGroup := c.tally == g.size
 	if lastOfGroup {
-		delete(c.byPhase, k)
+		c.tally = 0
 	}
 	rootLast := lastOfGroup && level == len(mt.shape.levels)-1
 	var bit sim.Cycles
 	if rootLast {
 		// The completing thread is the releaser; BIT_b = its local
-		// check-in completion minus its BRTS_{b-1} (§3.2.1).
+		// check-in completion minus its BRTS_{b-1} (§3.2.1). done is
+		// also the timestamp its release carries.
 		bit = done - brts
-		rg.lastThread[k] = t
 		rg.stats.Episodes++
+		if m.record {
+			rg.releases[k] = pRelease{thread: t, at: done, bit: bit}
+		}
 	}
 	m.send(g.home, t, grant, sim.Msg{Kind: msgCheckinReply, A: int32(t), B: int32(k), C: int32(level), D: int32(group),
 		Flags: flagIf(lastOfGroup, flagLastOfGroup) | flagIf(rootLast, flagRootLast), T0: grant, T1: bit, T2: brts})
@@ -1047,11 +1060,8 @@ func (m *ParallelMachine) flagReadReply(t, k int, w *pwaiter, purpose readPurpos
 		}
 		nd.cpu.ChargeSpin(dep - from)
 		if !flipped {
-			// Can't happen: a resolve read is only issued after the
-			// release's invalidation arrived. Keep spinning defensively.
-			w.resolving = false
-			w.spinFrom = dep
-			return
+			panic(fmt.Sprintf("core: thread %d phase %d: resolve read found the flag unflipped, "+
+				"but it is issued only after the release's invalidation landed", t, k))
 		}
 		m.depart(t, k, w, dep, bit)
 	}
@@ -1081,7 +1091,7 @@ func (m *ParallelMachine) goToSleep(t, k int, w *pwaiter, st power.SleepState, r
 	w.predictedWake = predictedWake
 
 	if st.Gated() && !m.opts.NoFlush {
-		lines, flushLat := m.region(t).proto.FlushForSleep(m.local(t), ready)
+		lines, flushLat := m.region(t).proto.FlushForSleep(m.local(t))
 		nd.cpu.ChargeCompute(flushLat)
 		ready += flushLat
 		m.region(t).stats.FlushLines += lines
@@ -1263,6 +1273,12 @@ func (m *ParallelMachine) homeRelease(t, k int, sent, arr sim.Cycles, bit sim.Cy
 	}
 	f := m.flagFor(rg, pc)
 	ep := m.flagEp(rg, pc, k)
+	// Every waiter of the last released episode departed before anyone
+	// could check into this one, so no request for it can arrive again.
+	if f.lastRelease < k {
+		delete(f.byPhase, f.lastRelease)
+	}
+	f.lastRelease = k
 	R := arr + ch.DirLookup + rg.proto.Memory(m.local(h)).Access(mt.flagAddr) + ch.Bus
 	ep.released = true
 	ep.releaseAt = sent // the releaser's timestamp, which BIT measures to
@@ -1477,6 +1493,9 @@ func (m *ParallelMachine) flagFor(rg *pregion, pc uint64) *pflag {
 
 func (m *ParallelMachine) flagEp(rg *pregion, pc uint64, k int) *pflagEp {
 	f := m.flagFor(rg, pc)
+	if k < f.lastRelease {
+		panic(fmt.Sprintf("core: request for flag %#x episode %d, dropped at the release of episode %d", pc, k, f.lastRelease))
+	}
 	ep := f.byPhase[k]
 	if ep == nil {
 		ep = &pflagEp{}

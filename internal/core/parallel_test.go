@@ -41,8 +41,9 @@ func statsLine(s Stats) string {
 }
 
 // parallelDigest folds every observable of a ParallelResult — span, event
-// count, per-CPU energy and spin residency at full float precision, and
-// the merged stats — into one FNV-1a word.
+// count, per-CPU energy and spin residency at full float precision, the
+// merged stats, and the episode records when recorded — into one FNV-1a
+// word.
 func parallelDigest(r ParallelResult) uint64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "span=%d events=%d\n", r.Span, r.Events)
@@ -50,6 +51,9 @@ func parallelDigest(r ParallelResult) uint64 {
 		fmt.Fprintf(h, "%d %016x %d\n", i, math.Float64bits(r.PerCPUEnergy[i]), r.PerCPUSpin[i])
 	}
 	fmt.Fprintf(h, "%s\n", statsLine(r.Stats))
+	for _, ep := range r.Episodes {
+		fmt.Fprintf(h, "%+v\n", ep)
+	}
 	return h.Sum64()
 }
 
@@ -65,7 +69,8 @@ func parallelRun(t *testing.T, arch Arch, opts Options, prog Program, shards int
 
 // The load-bearing property of the whole sharded machine: for any shard
 // count, a run is bit-identical to the plain sequential engine (shards
-// 0). Every configuration family and every topology must hold it.
+// 0). Every configuration family and every topology must hold it, and so
+// must the episode records, which come from the root counter's home.
 func TestParallelBitIdenticalAcrossShards(t *testing.T) {
 	arch := parallelArch(64, 8)
 	prog := UniformProgram(0x400, 8, imbalancedWork(150_000, 250_000))
@@ -103,13 +108,13 @@ func TestParallelBitIdenticalAcrossShards(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			ref := parallelRun(t, arch, tc.opts, prog, 0, false)
+			ref := parallelRun(t, arch, tc.opts, prog, 0, true)
 			want := parallelDigest(ref)
-			if ref.Span == 0 || ref.Events == 0 {
-				t.Fatalf("degenerate reference run: span=%v events=%d", ref.Span, ref.Events)
+			if ref.Span == 0 || ref.Events == 0 || len(ref.Episodes) != prog.Phases() {
+				t.Fatalf("degenerate reference run: span=%v events=%d records=%d", ref.Span, ref.Events, len(ref.Episodes))
 			}
 			for _, shards := range []int{1, 2, 4, 8} {
-				got := parallelRun(t, arch, tc.opts, prog, shards, false)
+				got := parallelRun(t, arch, tc.opts, prog, shards, true)
 				if d := parallelDigest(got); d != want {
 					t.Errorf("shards=%d digest %016x != reference %016x (span %v vs %v, events %d vs %d)",
 						shards, d, want, got.Span, ref.Span, got.Events, ref.Events)
@@ -174,6 +179,46 @@ func TestParallelRecords(t *testing.T) {
 		}
 		if releasers != 1 {
 			t.Errorf("phase %d: %d releasers", ep.Phase, releasers)
+		}
+	}
+}
+
+// The home side keeps no state that grows with the program: a counter
+// holds one tally, and a flag keeps at most its last released episode and
+// the next one, on the sequential engine and across shards alike.
+func TestParallelHomeStateBounded(t *testing.T) {
+	const cpus, phases = 16, 10_000
+	prog := UniformProgram(0x450, phases, imbalancedWork(20_000, 40_000))
+	for k := range prog {
+		prog[k].PC += uint64(k % 3)
+	}
+	for _, topo := range []Topology{TopologyFlat, TopologyTree} {
+		for _, shards := range []int{0, 4} {
+			opts := Thrifty()
+			opts.Topology = topo
+			if topo == TopologyTree {
+				opts.TreeArity = 4
+			}
+			m, err := NewParallelMachine(parallelArch(cpus, 4), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := m.Run(prog, shards)
+			if int(r.Stats.Episodes) != phases {
+				t.Fatalf("%v, shards=%d: %d episodes, want %d", topo, shards, r.Stats.Episodes, phases)
+			}
+			flags := 0
+			for _, rg := range m.regions {
+				for pc, f := range rg.flags {
+					flags++
+					if n := len(f.byPhase); n > 2 {
+						t.Errorf("%v, shards=%d: flag %#x keeps %d episodes, want at most 2", topo, shards, pc, n)
+					}
+				}
+			}
+			if flags != 3 {
+				t.Errorf("%v, shards=%d: %d flags, want 3", topo, shards, flags)
+			}
 		}
 	}
 }

@@ -102,35 +102,44 @@ func (c *CPU) ComputePower() float64 { return c.model.ActivePower(c.activity) }
 // the resulting duration is charged to Compute. It returns the segment
 // duration.
 func (c *CPU) RunSegment(now sim.Cycles, seg Segment) sim.Cycles {
-	base := sim.Cycles(float64(seg.Instructions) / c.cfg.IPC)
-	scale := seg.RefScale
-	if scale == 0 {
-		scale = 1
-	}
-	l1 := c.proto.Config().L1Hit
-	var stall sim.Cycles
-	t := now + base
-	for _, r := range seg.Refs {
-		var res coherence.AccessResult
-		if r.Write {
-			res = c.proto.Write(c.id, r.Addr, t)
-		} else {
-			res = c.proto.Read(c.id, r.Addr, t)
-		}
-		if res.Latency > l1 {
-			extra := float64(res.Latency-l1) * (1 - c.cfg.Overlap) * scale
-			stall += sim.Cycles(extra)
-		}
-		t += res.Latency
-	}
+	base, stall := c.run(now, seg)
 	dur := base + stall
 	if dur <= 0 {
 		dur = 1
 	}
 	c.tl.AddInterval(sim.StateCompute, dur, c.ComputePower())
+	return dur
+}
+
+// run drives seg's sampled references through the memory hierarchy,
+// issued back to back after the segment's base issue cycles, and counts
+// the segment. It returns the base cycles at nominal frequency and the
+// memory stall: each reference's latency beyond an L1 hit, less the
+// out-of-order overlap, scaled by RefScale.
+func (c *CPU) run(now sim.Cycles, seg Segment) (base, stall sim.Cycles) {
+	base = sim.Cycles(float64(seg.Instructions) / c.cfg.IPC)
+	scale := seg.RefScale
+	if scale == 0 {
+		scale = 1
+	}
+	l1 := c.proto.Config().L1Hit
+	t := now + base
+	for _, r := range seg.Refs {
+		var lat sim.Cycles
+		if r.Write {
+			lat = c.proto.Write(c.id, r.Addr, t)
+		} else {
+			lat = c.proto.Read(c.id, r.Addr, t)
+		}
+		if lat > l1 {
+			extra := float64(lat-l1) * (1 - c.cfg.Overlap) * scale
+			stall += sim.Cycles(extra)
+		}
+		t += lat
+	}
 	c.segments++
 	c.stall += stall
-	return dur
+	return base, stall
 }
 
 // ChargeCompute accounts d cycles of non-segment computation (barrier
@@ -178,27 +187,7 @@ func (c *CPU) RunSegmentDVFS(now sim.Cycles, seg Segment, f float64, budget sim.
 	if f <= 0 || f > 1 {
 		panic(fmt.Sprintf("cpu: DVFS factor %v outside (0,1]", f))
 	}
-	base := sim.Cycles(float64(seg.Instructions) / c.cfg.IPC)
-	scale := seg.RefScale
-	if scale == 0 {
-		scale = 1
-	}
-	l1 := c.proto.Config().L1Hit
-	var stall sim.Cycles
-	t := now + base
-	for _, r := range seg.Refs {
-		var res coherence.AccessResult
-		if r.Write {
-			res = c.proto.Write(c.id, r.Addr, t)
-		} else {
-			res = c.proto.Read(c.id, r.Addr, t)
-		}
-		if res.Latency > l1 {
-			extra := float64(res.Latency-l1) * (1 - c.cfg.Overlap) * scale
-			stall += sim.Cycles(extra)
-		}
-		t += res.Latency
-	}
+	base, stall := c.run(now, seg)
 	scaledBase := base
 	if budget > 0 && budget < base {
 		scaledBase = budget
@@ -215,8 +204,6 @@ func (c *CPU) RunSegmentDVFS(now sim.Cycles, seg Segment, f float64, budget sim.
 	if nominalBase+stall > 0 {
 		c.tl.AddInterval(sim.StateCompute, nominalBase+stall, c.ComputePower())
 	}
-	c.segments++
-	c.stall += stall
 	baseEquiv = base + stall
 	if baseEquiv <= 0 {
 		baseEquiv = 1

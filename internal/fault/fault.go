@@ -37,10 +37,10 @@ type Plan struct {
 	Seed uint64
 
 	// DropWakeup is the probability that a sleeper's external wake-up is
-	// lost: the flag-flip invalidation reaches the node but its monitor
-	// never fires (§3.3.1's lost-signal case). Under hybrid wake-up the
-	// internal timer bounds the damage; under external-only wake-up the
-	// sleeper is stranded until Recovery.
+	// lost: the flag-flip invalidation reaches the node but its cache
+	// controller never wakes the CPU (§3.3.1's lost-signal case). Under
+	// hybrid wake-up the internal timer bounds the damage; under
+	// external-only wake-up the sleeper is stranded until Recovery.
 	DropWakeup float64
 
 	// TimerFail is the probability that an armed internal timer never

@@ -176,11 +176,6 @@ func (x *setIndex) add(set uint64, d int32) {
 	}
 }
 
-func (x *setIndex) clear() {
-	clear(x.n)
-	clear(x.bits)
-}
-
 // Config returns the cache geometry.
 func (c *Cache) Config() Config { return c.cfg }
 
@@ -362,13 +357,4 @@ func (c *Cache) ValidCount() int { return len(c.lines) - c.count[Invalid] }
 // Stats reports hit/miss/eviction/writeback counters.
 func (c *Cache) Stats() (hits, misses, evictions, writebacks uint64) {
 	return c.hits, c.misses, c.evictions, c.writebacks
-}
-
-// Clear invalidates everything without writebacks (used between simulated
-// program runs).
-func (c *Cache) Clear() {
-	clear(c.lines)
-	c.count = [4]int{Invalid: len(c.lines)}
-	c.dirty.clear()
-	c.excl.clear()
 }

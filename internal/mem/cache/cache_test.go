@@ -168,15 +168,6 @@ func TestLineStateHelpers(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := l1()
-	c.Insert(0x40, Modified)
-	c.Clear()
-	if c.ValidCount() != 0 {
-		t.Fatal("Clear left valid lines")
-	}
-}
-
 // Property: the cache never holds more valid lines than its capacity, and
 // Lookup after Insert always hits, under arbitrary insert sequences.
 func TestCapacityInvariantProperty(t *testing.T) {
@@ -352,9 +343,5 @@ func TestEachExclusiveDowngradeInPlace(t *testing.T) {
 	}
 	if c.count[Exclusive] != 0 || c.count[Shared] != 3 || c.DirtyCount() != 1 {
 		t.Fatalf("counts after downgrade = %v", c.count)
-	}
-	c.Clear()
-	if c.count != [4]int{Invalid: 1024} || c.FlushDirty(nil) != nil {
-		t.Fatalf("Clear left counts %v", c.count)
 	}
 }

@@ -1,16 +1,16 @@
 // Package coherence implements a DASH-style directory-based MESI protocol
 // over the two-level per-node cache hierarchy, the hypercube network, and
 // the interleaved memories (Table 1 / §4.1 of the paper). It is the
-// substrate the thrifty barrier leverages for its external wake-up: the
-// invalidations sent when the last thread flips the barrier flag are
-// delivered per-sharer with real network latencies, and registered monitors
-// (the paper's small cache-controller extension, §3.3.1) observe them.
+// substrate under the simulated CPUs' compute segments and the deep-sleep
+// flush (§3.1). The barrier lines themselves, and with them the external
+// wake-up (§3.3.1), are modeled by the core machine as explicit messages.
 //
 // Transactions are resolved analytically — each access computes its
-// completion latency and the delivery schedule of any invalidations it
-// generated — rather than as per-message events. This keeps 64-CPU runs
-// fast while still routing every protocol action through the real
-// directory state, cache tags, NoC latency model, and DRAM timing.
+// completion latency, including the invalidation round trips it waits on —
+// rather than as per-message events. This keeps 64-CPU runs fast while
+// still routing every protocol action through the real directory state,
+// cache tags, NoC latency model, and DRAM timing. No latency depends on
+// the time an access is issued.
 package coherence
 
 import (
@@ -170,34 +170,8 @@ type dirEntry struct {
 	sharers sharerSet
 }
 
-// Delivery is one invalidation (or downgrade) message en route to a sharer,
-// with its absolute arrival time. The thrifty barrier's external wake-up
-// turns these into wake events.
-type Delivery struct {
-	Node int
-	At   sim.Cycles
-}
-
-// AccessResult describes one completed processor access.
-type AccessResult struct {
-	// Latency is the completion latency seen by the requesting processor.
-	Latency sim.Cycles
-	// Invalidations lists sharer invalidations generated by this access,
-	// with absolute delivery times. The slice belongs to the Protocol and
-	// is valid until its next access; copy what must outlive that.
-	Invalidations []Delivery
-	// Level records where the access was satisfied: 1, 2, or 3 (beyond L2).
-	Level int
-}
-
-// monitorKey identifies a registered flag monitor.
-type monitorKey struct {
-	node int
-	line uint64
-}
-
 // Protocol is the machine-wide coherence engine: all directories, caches,
-// and memories, plus the monitor registry used for external wake-up.
+// and memories.
 type Protocol struct {
 	cfg   Config
 	net   *noc.Network
@@ -207,12 +181,8 @@ type Protocol struct {
 	l2s   []*cache.Cache
 	dir   directory
 	gated []bool
-	// invals backs AccessResult.Invalidations; flushed backs the line
-	// lists of FlushForSleep.
-	invals  []Delivery
+	// flushed backs the line lists of FlushForSleep.
 	flushed []uint64
-
-	monitors map[monitorKey]func(sim.Cycles)
 
 	stats Stats
 }
@@ -226,7 +196,6 @@ type Stats struct {
 	Forwards              uint64
 	Writebacks            uint64
 	FlushedLines          uint64
-	MonitorFires          uint64
 	GatedInvalidationAcks uint64
 }
 
@@ -240,14 +209,13 @@ func New(cfg Config, net *noc.Network, place *dram.Placement) *Protocol {
 		panic("coherence: network/placement node count mismatch")
 	}
 	p := &Protocol{
-		cfg:      cfg,
-		net:      net,
-		place:    place,
-		mems:     make([]*dram.Memory, cfg.Nodes),
-		l1s:      make([]*cache.Cache, cfg.Nodes),
-		l2s:      make([]*cache.Cache, cfg.Nodes),
-		gated:    make([]bool, cfg.Nodes),
-		monitors: make(map[monitorKey]func(sim.Cycles)),
+		cfg:   cfg,
+		net:   net,
+		place: place,
+		mems:  make([]*dram.Memory, cfg.Nodes),
+		l1s:   make([]*cache.Cache, cfg.Nodes),
+		l2s:   make([]*cache.Cache, cfg.Nodes),
+		gated: make([]bool, cfg.Nodes),
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		p.mems[i] = dram.New(dram.DefaultConfig())
@@ -268,20 +236,6 @@ func (p *Protocol) LineAddr(addr uint64) uint64 {
 	return addr &^ (uint64(p.cfg.L1.LineBytes) - 1)
 }
 
-// Monitor registers a cache-controller flag monitor on node for the line
-// containing addr (§3.3.1): fn is invoked with the absolute delivery time
-// of the next invalidation of that line arriving at node. The returned
-// cancel function deregisters it (used when the internal timer wins the
-// hybrid race). Only one monitor per (node, line) may be active.
-func (p *Protocol) Monitor(node int, addr uint64, fn func(at sim.Cycles)) (cancel func()) {
-	key := monitorKey{node: node, line: p.LineAddr(addr)}
-	if _, dup := p.monitors[key]; dup {
-		panic(fmt.Sprintf("coherence: duplicate monitor on node %d line %#x", node, key.line))
-	}
-	p.monitors[key] = fn
-	return func() { delete(p.monitors, key) }
-}
-
 // SetGated marks node's caches as unable to respond to protocol requests
 // (deep sleep states Sleep2/Sleep3, §3.1). The caller must have flushed the
 // node first (FlushForSleep); a forward to a gated node panics, because the
@@ -293,9 +247,8 @@ func (p *Protocol) SetGated(node int, gated bool) {
 // Gated reports whether node's caches are gated.
 func (p *Protocol) Gated(node int) bool { return p.gated[node] }
 
-// invalidateAt drops the line from node's caches and fires any monitor.
-// Returns the delivery record.
-func (p *Protocol) invalidateAt(node int, line uint64, at sim.Cycles) Delivery {
+// invalidate drops the line from node's caches.
+func (p *Protocol) invalidate(node int, line uint64) {
 	p.l1s[node].Invalidate(line)
 	p.l2s[node].Invalidate(line)
 	if p.gated[node] {
@@ -305,13 +258,7 @@ func (p *Protocol) invalidateAt(node int, line uint64, at sim.Cycles) Delivery {
 		// unobservable while the CPU sleeps.
 		p.stats.GatedInvalidationAcks++
 	}
-	if fn, ok := p.monitors[monitorKey{node: node, line: line}]; ok {
-		p.stats.MonitorFires++
-		delete(p.monitors, monitorKey{node: node, line: line})
-		fn(at)
-	}
 	p.stats.InvalidationsSent++
-	return Delivery{Node: node, At: at}
 }
 
 // fillLine installs a line in node's L1+L2 with the given state, handling
@@ -352,24 +299,24 @@ func (p *Protocol) evictFromDirectory(node int, line uint64, dirty bool) {
 	}
 }
 
-// Read performs a processor load at absolute time now and returns its
-// latency and any coherence side effects.
-func (p *Protocol) Read(node int, addr uint64, now sim.Cycles) AccessResult {
+// Read performs a processor load issued at absolute time now and returns
+// its latency. The analytic latency does not depend on now.
+func (p *Protocol) Read(node int, addr uint64, now sim.Cycles) sim.Cycles {
 	p.stats.Reads++
 	line := p.LineAddr(addr)
 	if st, hit := p.l1s[node].Lookup(line); hit && st.Valid() {
 		p.stats.L1Hits++
-		return AccessResult{Latency: p.cfg.L1Hit, Level: 1}
+		return p.cfg.L1Hit
 	}
 	if st, hit := p.l2s[node].Lookup(line); hit && st.Valid() {
 		p.stats.L2Hits++
 		p.l1s[node].Insert(line, st)
-		return AccessResult{Latency: p.cfg.L2Hit, Level: 2}
+		return p.cfg.L2Hit
 	}
-	return p.readMiss(node, line, now)
+	return p.readMiss(node, line)
 }
 
-func (p *Protocol) readMiss(node int, line uint64, now sim.Cycles) AccessResult {
+func (p *Protocol) readMiss(node int, line uint64) sim.Cycles {
 	p.stats.RemoteFills++
 	home := p.place.Home(line)
 	e := p.dir.entry(line)
@@ -423,28 +370,27 @@ func (p *Protocol) readMiss(node int, line uint64, now sim.Cycles) AccessResult 
 		e.sharers.add(node)
 		p.fillLine(node, line, cache.Shared)
 	}
-	_ = now
-	return AccessResult{Latency: lat, Level: 3}
+	return lat
 }
 
-// Write performs a processor store at absolute time now. Invalidations to
-// other sharers are returned with absolute delivery times; monitors on the
-// invalidated copies fire inside this call.
-func (p *Protocol) Write(node int, addr uint64, now sim.Cycles) AccessResult {
+// Write performs a processor store issued at absolute time now and returns
+// its latency, which includes invalidating the other sharers. The analytic
+// latency does not depend on now.
+func (p *Protocol) Write(node int, addr uint64, now sim.Cycles) sim.Cycles {
 	p.stats.Writes++
 	line := p.LineAddr(addr)
 	if st, hit := p.l1s[node].Lookup(line); hit {
 		switch st {
 		case cache.Modified:
 			p.stats.L1Hits++
-			return AccessResult{Latency: p.cfg.L1Hit, Level: 1}
+			return p.cfg.L1Hit
 		case cache.Exclusive:
 			p.stats.L1Hits++
 			p.l1s[node].SetState(line, cache.Modified)
 			p.l2s[node].SetState(line, cache.Modified)
-			return AccessResult{Latency: p.cfg.L1Hit, Level: 1}
+			return p.cfg.L1Hit
 		case cache.Shared:
-			return p.upgrade(node, line, now, p.cfg.L1Hit)
+			return p.upgrade(node, line, p.cfg.L1Hit)
 		}
 	}
 	if st, hit := p.l2s[node].Lookup(line); hit {
@@ -453,22 +399,20 @@ func (p *Protocol) Write(node int, addr uint64, now sim.Cycles) AccessResult {
 			p.stats.L2Hits++
 			p.l2s[node].SetState(line, cache.Modified)
 			p.fillLine(node, line, cache.Modified)
-			return AccessResult{Latency: p.cfg.L2Hit, Level: 2}
+			return p.cfg.L2Hit
 		case cache.Shared:
-			return p.upgrade(node, line, now, p.cfg.L2Hit)
+			return p.upgrade(node, line, p.cfg.L2Hit)
 		}
 	}
-	return p.writeMiss(node, line, now)
+	return p.writeMiss(node, line)
 }
 
 // upgrade handles a store hit on a Shared line: ask home to invalidate the
 // other sharers, then take ownership.
-func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycles) AccessResult {
+func (p *Protocol) upgrade(node int, line uint64, probe sim.Cycles) sim.Cycles {
 	home := p.place.Home(line)
 	e := p.dir.entry(line)
 	lat := probe + p.net.Latency(node, home, p.cfg.CtrlBytes) + p.cfg.DirLookup
-	res := AccessResult{Level: 3}
-	p.invals = p.invals[:0]
 
 	var ackMax sim.Cycles
 	e.sharers.forEach(func(s int) {
@@ -476,8 +420,7 @@ func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycl
 			return
 		}
 		invLat := p.net.Latency(home, s, p.cfg.CtrlBytes)
-		at := now + lat + invLat
-		p.invals = append(p.invals, p.invalidateAt(s, line, at))
+		p.invalidate(s, line)
 		// Ack travels sharer -> requester.
 		if total := invLat + p.net.Latency(s, node, p.cfg.CtrlBytes); total > ackMax {
 			ackMax = total
@@ -490,19 +433,15 @@ func (p *Protocol) upgrade(node int, line uint64, now sim.Cycles, probe sim.Cycl
 	p.l1s[node].SetState(line, cache.Modified)
 	p.l2s[node].SetState(line, cache.Modified)
 	p.fillLine(node, line, cache.Modified)
-	res.Latency = lat
-	res.Invalidations = p.invals
-	return res
+	return lat
 }
 
 // writeMiss handles a store with no local copy (read-for-ownership).
-func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult {
+func (p *Protocol) writeMiss(node int, line uint64) sim.Cycles {
 	p.stats.RemoteFills++
 	home := p.place.Home(line)
 	e := p.dir.entry(line)
 	lat := p.cfg.L2Hit + p.net.Latency(node, home, p.cfg.CtrlBytes) + p.cfg.DirLookup
-	res := AccessResult{Level: 3}
-	p.invals = p.invals[:0]
 
 	switch e.state {
 	case dirUncached:
@@ -517,8 +456,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 				return
 			}
 			invLat := p.net.Latency(home, s, p.cfg.CtrlBytes)
-			at := now + lat + invLat
-			p.invals = append(p.invals, p.invalidateAt(s, line, at))
+			p.invalidate(s, line)
 			if total := invLat + p.net.Latency(s, node, p.cfg.CtrlBytes); total > ackMax {
 				ackMax = total
 			}
@@ -538,8 +476,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 			}
 			p.stats.Forwards++
 			fwd := p.net.Latency(home, owner, p.cfg.CtrlBytes)
-			at := now + lat + fwd
-			p.invals = append(p.invals, p.invalidateAt(owner, line, at))
+			p.invalidate(owner, line)
 			lat += fwd + p.cfg.L2Hit + p.net.Latency(owner, node, p.cfg.DataBytes)
 		} else {
 			lat += p.mems[home].Access(line) + p.cfg.Bus
@@ -550,9 +487,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 	e.owner = node
 	e.sharers.clear()
 	p.fillLine(node, line, cache.Modified)
-	res.Latency = lat
-	res.Invalidations = p.invals
-	return res
+	return lat
 }
 
 // FlushForSleep prepares node's caches for a deep (gated) sleep state:
@@ -561,7 +496,7 @@ func (p *Protocol) writeMiss(node int, line uint64, now sim.Cycles) AccessResult
 // needs to forward a request to the sleeping cache (§3.1). It returns the
 // number of lines written back and the time the flush occupies the
 // processor before it can enter the sleep state.
-func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency sim.Cycles) {
+func (p *Protocol) FlushForSleep(node int) (lines int, latency sim.Cycles) {
 	p.flushed = p.l1s[node].FlushDirty(p.flushed[:0])
 	for _, line := range p.flushed {
 		// L1 dirty lines fold into L2 (inclusion) before the L2 flush; if
@@ -587,7 +522,6 @@ func (p *Protocol) FlushForSleep(node int, now sim.Cycles) (lines int, latency s
 	// Writebacks stream over the node bus (one line per Bus slot) and the
 	// last one must reach its home before the cache may be gated.
 	latency = sim.Cycles(lines)*p.cfg.Bus + maxNet
-	_ = now
 	return lines, latency
 }
 

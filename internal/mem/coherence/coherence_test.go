@@ -17,6 +17,9 @@ func newProto(t testing.TB) *Protocol {
 	return New(cfg, net, place)
 }
 
+// remoteFills counts the accesses p served beyond a node's L2.
+func remoteFills(p *Protocol) uint64 { return p.Stats().RemoteFills }
+
 func TestConfigValidate(t *testing.T) {
 	cfg := DefaultConfig()
 	if err := cfg.Validate(); err != nil {
@@ -36,9 +39,9 @@ func TestConfigValidate(t *testing.T) {
 
 func TestColdReadGetsExclusive(t *testing.T) {
 	p := newProto(t)
-	res := p.Read(0, 0x1000, 0)
-	if res.Level != 3 {
-		t.Fatalf("cold read level = %d, want 3", res.Level)
+	p.Read(0, 0x1000, 0)
+	if got := remoteFills(p); got != 1 {
+		t.Fatalf("cold read: %d remote fills, want 1", got)
 	}
 	if st, ok := p.L1(0).Peek(0x1000); !ok || st != cache.Exclusive {
 		t.Fatalf("L1 state after cold read = %v,%v; want E", st, ok)
@@ -51,9 +54,10 @@ func TestColdReadGetsExclusive(t *testing.T) {
 func TestReadHitLatencies(t *testing.T) {
 	p := newProto(t)
 	p.Read(0, 0x1000, 0)
-	res := p.Read(0, 0x1000, 100)
-	if res.Level != 1 || res.Latency != p.Config().L1Hit {
-		t.Fatalf("L1 hit: level=%d latency=%v", res.Level, res.Latency)
+	hits := p.Stats().L1Hits
+	lat := p.Read(0, 0x1000, 100)
+	if p.Stats().L1Hits != hits+1 || lat != p.Config().L1Hit {
+		t.Fatalf("L1 hit: %d L1 hits, latency=%v", p.Stats().L1Hits-hits, lat)
 	}
 }
 
@@ -61,9 +65,10 @@ func TestSecondReaderSharesAndDowngradesOwner(t *testing.T) {
 	p := newProto(t)
 	p.Read(0, 0x1000, 0)
 	p.Write(0, 0x1000, 10) // node 0 now Modified
-	res := p.Read(1, 0x1000, 100)
-	if res.Level != 3 {
-		t.Fatalf("remote read level = %d, want 3", res.Level)
+	fills := remoteFills(p)
+	p.Read(1, 0x1000, 100)
+	if got := remoteFills(p) - fills; got != 1 {
+		t.Fatalf("remote read: %d remote fills, want 1", got)
 	}
 	st0, _ := p.L2(0).Peek(0x1000)
 	st1, _ := p.L2(1).Peek(0x1000)
@@ -83,9 +88,8 @@ func TestWriteOnExclusiveIsSilent(t *testing.T) {
 	p := newProto(t)
 	p.Read(0, 0x1000, 0)
 	before := p.Stats().InvalidationsSent
-	res := p.Write(0, 0x1000, 10)
-	if res.Latency != p.Config().L1Hit {
-		t.Fatalf("E->M upgrade latency = %v, want L1 hit", res.Latency)
+	if lat := p.Write(0, 0x1000, 10); lat != p.Config().L1Hit {
+		t.Fatalf("E->M upgrade latency = %v, want L1 hit", lat)
 	}
 	if p.Stats().InvalidationsSent != before {
 		t.Fatal("silent upgrade sent invalidations")
@@ -102,94 +106,33 @@ func TestWriteInvalidatesSharers(t *testing.T) {
 		p.Read(n, addr, sim.Cycles(n*10))
 	}
 	now := sim.Cycles(1000)
-	res := p.Write(3, addr, now)
-	if got := len(res.Invalidations); got != 7 {
+	sent := p.Stats().InvalidationsSent
+	lat := p.Write(3, addr, now)
+	if got := p.Stats().InvalidationsSent - sent; got != 7 {
 		t.Fatalf("invalidations = %d, want 7", got)
 	}
-	for _, d := range res.Invalidations {
-		if d.Node == 3 {
-			t.Error("writer invalidated itself")
+	if lat <= p.Config().L1Hit {
+		t.Errorf("upgrade latency %v does not wait for the invalidation acks", lat)
+	}
+	for n := 0; n < 8; n++ {
+		if n == 3 {
+			continue
 		}
-		if d.At <= now {
-			t.Errorf("invalidation at %v not after write start %v", d.At, now)
-		}
-		if st, ok := p.L2(d.Node).Peek(addr); ok && st.Valid() {
-			t.Errorf("node %d still holds line after invalidation (%v)", d.Node, st)
+		for _, c := range []*cache.Cache{p.L1(n), p.L2(n)} {
+			if st, ok := c.Peek(addr); ok && st.Valid() {
+				t.Errorf("node %d still holds line after invalidation (%v)", n, st)
+			}
 		}
 	}
 	if st, _ := p.L2(3).Peek(addr); st != cache.Modified {
 		t.Fatalf("writer state = %v, want M", st)
 	}
 	// Subsequent read by an invalidated sharer misses.
-	if res := p.Read(5, addr, now+10000); res.Level != 3 {
-		t.Fatalf("post-invalidation read level = %d, want 3", res.Level)
+	fills := remoteFills(p)
+	p.Read(5, addr, now+10000)
+	if got := remoteFills(p) - fills; got != 1 {
+		t.Fatalf("post-invalidation read: %d remote fills, want 1", got)
 	}
-}
-
-func TestMonitorFiresOnInvalidation(t *testing.T) {
-	p := newProto(t)
-	const flag = 0x3000
-	p.Read(7, flag, 0) // node 7 becomes a sharer
-	p.Read(2, flag, 1)
-	var firedAt sim.Cycles = -1
-	p.Monitor(7, flag, func(at sim.Cycles) { firedAt = at })
-	res := p.Write(2, flag, 500)
-	if firedAt < 0 {
-		t.Fatal("monitor did not fire")
-	}
-	found := false
-	for _, d := range res.Invalidations {
-		if d.Node == 7 && d.At == firedAt {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("monitor fire time %v does not match a delivery %v", firedAt, res.Invalidations)
-	}
-	if p.Stats().MonitorFires != 1 {
-		t.Fatalf("monitor fires = %d, want 1", p.Stats().MonitorFires)
-	}
-}
-
-func TestMonitorCancel(t *testing.T) {
-	p := newProto(t)
-	const flag = 0x3000
-	p.Read(7, flag, 0)
-	p.Read(2, flag, 1)
-	fired := false
-	cancel := p.Monitor(7, flag, func(sim.Cycles) { fired = true })
-	cancel()
-	p.Write(2, flag, 500)
-	if fired {
-		t.Fatal("canceled monitor fired")
-	}
-}
-
-func TestMonitorIsOneShot(t *testing.T) {
-	p := newProto(t)
-	const flag = 0x3000
-	fires := 0
-	p.Read(7, flag, 0)
-	p.Read(2, flag, 1)
-	p.Monitor(7, flag, func(sim.Cycles) { fires++ })
-	p.Write(2, flag, 500)
-	// Re-share and invalidate again: monitor must not re-fire.
-	p.Read(7, flag, 1000)
-	p.Write(2, flag, 1500)
-	if fires != 1 {
-		t.Fatalf("monitor fired %d times, want 1", fires)
-	}
-}
-
-func TestDuplicateMonitorPanics(t *testing.T) {
-	p := newProto(t)
-	p.Monitor(1, 0x40, func(sim.Cycles) {})
-	defer func() {
-		if recover() == nil {
-			t.Error("duplicate monitor did not panic")
-		}
-	}()
-	p.Monitor(1, 0x40, func(sim.Cycles) {})
 }
 
 func TestFlushForSleep(t *testing.T) {
@@ -203,7 +146,7 @@ func TestFlushForSleep(t *testing.T) {
 	if p.DirtyLines(4) != 10 {
 		t.Fatalf("dirty lines = %d, want 10", p.DirtyLines(4))
 	}
-	lines, lat := p.FlushForSleep(4, 1000)
+	lines, lat := p.FlushForSleep(4)
 	if lines != 10 {
 		t.Fatalf("flushed %d lines, want 10", lines)
 	}
@@ -220,23 +163,26 @@ func TestFlushForSleep(t *testing.T) {
 	}
 	p.SetGated(4, false)
 	// Flushed lines are compulsory misses for node 4 afterwards.
-	if res := p.Read(4, 0x8000, 5000); res.Level != 3 {
-		t.Fatalf("post-flush read level = %d, want 3 (compulsory miss)", res.Level)
+	fills := remoteFills(p)
+	p.Read(4, 0x8000, 5000)
+	if got := remoteFills(p) - fills; got != 1 {
+		t.Fatalf("post-flush read: %d remote fills, want 1 (compulsory miss)", got)
 	}
 }
 
 func TestFlushDowngradesCleanExclusive(t *testing.T) {
 	p := newProto(t)
 	p.Read(4, 0x9000, 0) // Exclusive clean
-	lines, _ := p.FlushForSleep(4, 100)
+	lines, _ := p.FlushForSleep(4)
 	if lines != 0 {
 		t.Fatalf("clean flush wrote back %d lines", lines)
 	}
 	p.SetGated(4, true)
 	// A remote read must be served by memory, not a forward to node 4.
-	res := p.Read(5, 0x9000, 200)
-	if res.Level != 3 {
-		t.Fatalf("remote read level = %d", res.Level)
+	fills := remoteFills(p)
+	p.Read(5, 0x9000, 200)
+	if got := remoteFills(p) - fills; got != 1 {
+		t.Fatalf("remote read: %d remote fills, want 1", got)
 	}
 	if p.Stats().Forwards != 0 {
 		t.Fatal("read forwarded to a gated node")
@@ -262,7 +208,7 @@ func TestGatedInvalidationAcked(t *testing.T) {
 	const flag = 0xB000
 	p.Read(6, flag, 0) // node 6 shares the flag
 	p.Read(1, flag, 1)
-	p.FlushForSleep(6, 10)
+	p.FlushForSleep(6)
 	p.SetGated(6, true)
 	p.Write(1, flag, 100) // invalidation to gated node 6: clean data, acked
 	if p.Stats().GatedInvalidationAcks == 0 {
@@ -285,10 +231,10 @@ func TestRemoteLatencyExceedsLocal(t *testing.T) {
 			break
 		}
 	}
-	resLocal := p.Read(0, local, 0)
-	resRemote := p.Read(0, remote, 0)
-	if resRemote.Latency <= resLocal.Latency {
-		t.Fatalf("remote fill (%v) not slower than local fill (%v)", resRemote.Latency, resLocal.Latency)
+	latLocal := p.Read(0, local, 0)
+	latRemote := p.Read(0, remote, 0)
+	if latRemote <= latLocal {
+		t.Fatalf("remote fill (%v) not slower than local fill (%v)", latRemote, latLocal)
 	}
 }
 

@@ -91,7 +91,7 @@ func TestDirectoryInvariantUnderSleep(t *testing.T) {
 					case p.Gated(n):
 						p.SetGated(n, false) // the sleeper wakes
 					case rng.Bool(0.02):
-						p.FlushForSleep(n, now)
+						p.FlushForSleep(n)
 						eachEntry(p, func(l uint64, e *dirEntry) {
 							if e.state == dirExclusive && e.owner == n {
 								t.Fatalf("step %d: node %d still owns line %#x after FlushForSleep", i, n, l)

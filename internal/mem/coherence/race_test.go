@@ -49,7 +49,7 @@ func TestRegionProtocolsConcurrent(t *testing.T) {
 				global.Latency(r*regionNodes+node, (1-r)*regionNodes+node, 8)
 				if i%101 == 0 {
 					p.SetGated(node, true)
-					p.FlushForSleep(node, 0)
+					p.FlushForSleep(node)
 					p.SetGated(node, false)
 				}
 			}
