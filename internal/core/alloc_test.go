@@ -60,3 +60,34 @@ func TestParallelMachineAllocsPerEvent(t *testing.T) {
 		t.Fatalf("%.3f allocations per event, want < 0.1", perEvent)
 	}
 }
+
+// machineAllocs reports the bytes and objects NewParallelMachine
+// allocates for a Thrifty machine of nodes CPUs in regions of rn nodes.
+func machineAllocs(t *testing.T, nodes, rn int) (bytes, objects uint64) {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := NewParallelMachine(parallelArch(nodes, rn), Thrifty())
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// A 256-CPU machine of 8-node regions, core-256's shape, fits in 4 MiB
+// (its 512 L1s and L2s are 2.5 MB of 8-byte ways), and its object count
+// grows with its regions only: the caches, memories, nodes and CPUs come
+// from slabs, so 32 regions cost at most 20 objects each whether they
+// hold 8 nodes or 16. One object per node would add 8 or 16 per region.
+func TestNewParallelMachineAllocs(t *testing.T) {
+	bytes, objects := machineAllocs(t, 256, 8)
+	_, wide := machineAllocs(t, 512, 16)
+	t.Logf("256 CPUs in 8-node regions: %d bytes in %d objects; 512 CPUs in 16-node regions: %d objects", bytes, objects, wide)
+	if bytes > 4<<20 {
+		t.Errorf("machine allocates %d bytes, want at most 4 MiB", bytes)
+	}
+	if objects > 32*20 || wide > 32*20 {
+		t.Errorf("32 regions cost %d objects at 8 nodes each and %d at 16, want at most 20 per region", objects, wide)
+	}
+}

@@ -87,7 +87,7 @@ type pnode struct {
 	pendStart sim.Cycles // arrival time at the current barrier
 	w         pwaiter    // the current (or, once departed, last) wait
 
-	forbidden map[uint64]bool // §3.3.3 cut-off: prediction disabled per PC
+	forbidden map[uint64]bool // §3.3.3 cut-off: prediction disabled per PC; nil until the first
 
 	// bst is the per-(PC, thread) time predictor of the two per-thread
 	// features: DVFS's compute-time predictor, or the direct-BST
@@ -290,12 +290,16 @@ func NewParallelMachine(arch Arch, opts Options) (*ParallelMachine, error) {
 		}
 		m.regions[r].stats.Sleeps = make(map[string]int)
 	}
+	// The nodes and their CPUs live in two slabs, so a machine costs a
+	// number of allocations that grows with its regions, not its nodes.
+	pnodes, cpus := make([]pnode, arch.Nodes), make([]cpu.CPU, arch.Nodes)
 	for t := range m.nodes {
-		nd := &pnode{
-			id:        t,
-			cpu:       cpu.New(t&(rn-1), arch.CPU, m.regions[t/rn].proto, model, arch.Activity),
-			w:         pwaiter{departed: true}, // no wait in progress
-			forbidden: make(map[uint64]bool),
+		cpus[t] = cpu.Make(t&(rn-1), arch.CPU, m.regions[t/rn].proto, model, arch.Activity)
+		nd := &pnodes[t]
+		*nd = pnode{
+			id:  t,
+			cpu: &cpus[t],
+			w:   pwaiter{departed: true}, // no wait in progress
 		}
 		if opts.DVFS || opts.BSTDirect {
 			nd.bst = predict.NewBSTTable()
@@ -1449,6 +1453,9 @@ func (m *ParallelMachine) depart(t, k int, w *pwaiter, dep sim.Cycles, bit sim.C
 	if w != nil && w.kind == waitSleep && !m.opts.Oracle && m.opts.Cutoff > 0 && bit > 0 {
 		penalty := w.wokeReady - nd.brts
 		if float64(penalty) > m.opts.Cutoff*float64(bit) {
+			if nd.forbidden == nil {
+				nd.forbidden = make(map[uint64]bool)
+			}
 			nd.forbidden[w.pc] = true
 			m.region(t).stats.Disables++
 		}

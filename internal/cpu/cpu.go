@@ -30,6 +30,9 @@ type Segment struct {
 	// hierarchy. RunSegment only reads it, so a program may hand the
 	// same slice to many segments.
 	Refs []Ref
+	// More continues the stream after Refs, so a segment can be two
+	// windows of a program's shared reference tables without a copy.
+	More []Ref
 	// RefScale is how many actual references each sampled one stands for;
 	// memory stall time is scaled accordingly. Zero means 1.
 	RefScale float64
@@ -79,10 +82,17 @@ type CPU struct {
 
 // New builds a CPU bound to a node of the coherence substrate.
 func New(id int, cfg Config, proto *coherence.Protocol, model *power.Model, activity power.Activity) *CPU {
+	c := Make(id, cfg, proto, model, activity)
+	return &c
+}
+
+// Make is New returning the CPU by value, so a machine can keep all its
+// CPUs in one slice.
+func Make(id int, cfg Config, proto *coherence.Protocol, model *power.Model, activity power.Activity) CPU {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &CPU{id: id, cfg: cfg, proto: proto, model: model, activity: activity}
+	return CPU{id: id, cfg: cfg, proto: proto, model: model, activity: activity}
 }
 
 // ID returns the node id.
@@ -111,9 +121,9 @@ func (c *CPU) RunSegment(now sim.Cycles, seg Segment) sim.Cycles {
 	return dur
 }
 
-// run drives seg's sampled references through the memory hierarchy,
-// issued back to back after the segment's base issue cycles, and counts
-// the segment. It returns the base cycles at nominal frequency and the
+// run drives seg's sampled references, Refs then More, through the
+// memory hierarchy, issued back to back after the segment's base issue
+// cycles, and counts the segment. It returns the base cycles at nominal frequency and the
 // memory stall: each reference's latency beyond an L1 hit, less the
 // out-of-order overlap, scaled by RefScale.
 func (c *CPU) run(now sim.Cycles, seg Segment) (base, stall sim.Cycles) {
@@ -124,18 +134,20 @@ func (c *CPU) run(now sim.Cycles, seg Segment) (base, stall sim.Cycles) {
 	}
 	l1 := c.proto.Config().L1Hit
 	t := now + base
-	for _, r := range seg.Refs {
-		var lat sim.Cycles
-		if r.Write {
-			lat = c.proto.Write(c.id, r.Addr, t)
-		} else {
-			lat = c.proto.Read(c.id, r.Addr, t)
+	for _, refs := range [...][]Ref{seg.Refs, seg.More} {
+		for _, r := range refs {
+			var lat sim.Cycles
+			if r.Write {
+				lat = c.proto.Write(c.id, r.Addr, t)
+			} else {
+				lat = c.proto.Read(c.id, r.Addr, t)
+			}
+			if lat > l1 {
+				extra := float64(lat-l1) * (1 - c.cfg.Overlap) * scale
+				stall += sim.Cycles(extra)
+			}
+			t += lat
 		}
-		if lat > l1 {
-			extra := float64(lat-l1) * (1 - c.cfg.Overlap) * scale
-			stall += sim.Cycles(extra)
-		}
-		t += lat
 	}
 	c.segments++
 	c.stall += stall

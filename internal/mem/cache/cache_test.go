@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"testing"
 	"testing/quick"
+
+	"thriftybarrier/internal/mem/dram"
+	"thriftybarrier/internal/sim"
 )
 
 func l1() *Cache { return New(Config{SizeBytes: 16 << 10, LineBytes: 64, Ways: 2}) }
@@ -26,6 +29,7 @@ func TestConfigValidate(t *testing.T) {
 		{SizeBytes: 16<<10 + 64, LineBytes: 64, Ways: 2},
 		{SizeBytes: 24 << 10, LineBytes: 64, Ways: 2}, // 192 sets, not pow2
 		{SizeBytes: 16 << 10, LineBytes: 48, Ways: 2},
+		{SizeBytes: 8, LineBytes: 1, Ways: 8}, // no address bits free for state and age
 	}
 	for _, cfg := range bad {
 		if err := cfg.Validate(); err == nil {
@@ -82,12 +86,11 @@ func TestDirtyEvictionReportsWriteback(t *testing.T) {
 	c.Insert(0, Modified)
 	c.Insert(stride, Shared)
 	v, evicted := c.Insert(2*stride, Shared)
-	if !evicted || !v.Dirty {
-		t.Fatalf("evicting Modified line: evicted=%v dirty=%v", evicted, v.Dirty)
+	if !evicted || !v.Dirty || v.Addr != 0 {
+		t.Fatalf("evicting Modified line: evicted=%v victim=%+v", evicted, v)
 	}
-	_, _, _, wb := c.Stats()
-	if wb != 1 {
-		t.Fatalf("writebacks = %d, want 1", wb)
+	if d := c.DirtyCount(); d != 0 {
+		t.Fatalf("dirty lines after evicting the only one = %d, want 0", d)
 	}
 }
 
@@ -188,24 +191,24 @@ func TestCapacityInvariantProperty(t *testing.T) {
 	}
 }
 
-// Property: every dirty line inserted is eventually accounted for as either
-// still-dirty, written back on eviction, or flushed.
+// Property: every dirty line inserted is accounted for exactly once, as
+// either a dirty victim of a later insert or a line FlushDirty writes back.
 func TestWritebackConservationProperty(t *testing.T) {
 	f := func(addrs []uint16) bool {
 		c := l1()
-		inserted := 0
+		inserted, evicted := 0, 0
 		for _, a := range addrs {
 			addr := uint64(a) << 6
 			if st, ok := c.Peek(addr); ok && st == Modified {
 				continue // already dirty; not a new dirty insertion
 			}
-			c.Insert(addr, Modified)
+			if v, ok := c.Insert(addr, Modified); ok && v.Dirty {
+				evicted++
+			}
 			inserted++
 		}
 		flushed := len(c.FlushDirty(nil))
-		_, _, _, wb := c.Stats()
-		// writebacks counts evictions of dirty lines plus flushes.
-		return int(wb) == inserted && flushed+int(wb)-flushed <= inserted
+		return evicted+flushed == inserted && c.DirtyCount() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
@@ -216,29 +219,47 @@ func TestWritebackConservationProperty(t *testing.T) {
 // way order, the reference the O(1) counts and FlushDirty must match.
 func scan(c *Cache) (count [4]int, dirty []uint64) {
 	for s := 0; s < c.cfg.Sets(); s++ {
-		for _, ln := range c.set(uint64(s)) {
-			count[ln.state]++
-			if ln.state == Modified {
-				dirty = append(dirty, ln.tag<<c.lineShift)
+		for _, w := range c.set(uint64(s)) {
+			count[wayState(w)]++
+			if wayState(w) == Modified {
+				dirty = append(dirty, c.addr(uint64(s), w))
 			}
 		}
 	}
 	return count, dirty
 }
 
-// checkSetIndex compares x, the per-set index of state st, with a scan of
-// every set: each set's count and its bit must match the ways in st.
-func checkSetIndex(c *Cache, x *setIndex, st LineState) error {
+// checkMarks compares m, the set bitmap of state st, with a scan of every
+// set: a set's bit must be on exactly when one of its ways is in st.
+func checkMarks(c *Cache, m []uint64, st LineState) error {
 	for s := 0; s < c.cfg.Sets(); s++ {
-		n := int32(0)
-		for _, ln := range c.set(uint64(s)) {
-			if ln.state == st {
+		n := 0
+		for _, w := range c.set(uint64(s)) {
+			if wayState(w) == st {
 				n++
 			}
 		}
-		bit := x.bits[s/64]&(1<<(s%64)) != 0
-		if x.n[s] != n || bit != (n > 0) {
-			return fmt.Errorf("set %d: %v count %d bit %v, scan %d", s, st, x.n[s], bit, n)
+		if bit := m[s/64]&(1<<(s%64)) != 0; bit != (n > 0) {
+			return fmt.Errorf("set %d: %v bit %v, scan %d ways", s, st, bit, n)
+		}
+	}
+	return nil
+}
+
+// checkAges asserts the LRU ranking invariant: in every set, the ages of
+// the k valid ways are exactly 0..k-1.
+func checkAges(c *Cache) error {
+	for s := 0; s < c.cfg.Sets(); s++ {
+		var seen uint64
+		k := 0
+		for _, w := range c.set(uint64(s)) {
+			if wayState(w) != Invalid {
+				seen |= 1 << ((w & c.ageMask) >> stateBits)
+				k++
+			}
+		}
+		if seen != 1<<k-1 {
+			return fmt.Errorf("set %d: %d valid ways with ages %b", s, k, seen)
 		}
 	}
 	return nil
@@ -249,12 +270,12 @@ func checkSetIndex(c *Cache, x *setIndex, st LineState) error {
 type cacheOp struct{ Kind, Line, State uint8 }
 
 // Property: under any sequence of Insert/SetState/Invalidate/FlushDirty on
-// a small geometry (4 sets × 2 ways, 16 candidate lines), the per-state
-// counts and the per-set Modified and Exclusive counts and bitmaps equal a
-// full scan after every step, DirtyCount is the number of Modified ways,
-// FlushDirty returns exactly the Modified lines in set and way order, and
-// EachExclusive visits exactly the Exclusive ones, also in set and way
-// order.
+// a small geometry (4 sets × 2 ways, 16 candidate lines), after every step
+// the per-state counts and the per-set Modified and Exclusive bitmaps
+// equal a full scan, each set's valid ways rank 0..k-1, DirtyCount is the
+// number of Modified ways, FlushDirty returns exactly the Modified lines
+// in set and way order, and EachExclusive visits exactly the Exclusive
+// ones, also in set and way order.
 func TestStateCountsMatchScanProperty(t *testing.T) {
 	f := func(ops []cacheOp) bool {
 		c := New(Config{SizeBytes: 512, LineBytes: 64, Ways: 2})
@@ -298,7 +319,7 @@ func TestStateCountsMatchScanProperty(t *testing.T) {
 				t.Logf("step %d: ValidCount %d, scan %v", step, c.ValidCount(), count)
 				return false
 			}
-			for _, err := range []error{checkSetIndex(c, &c.dirty, Modified), checkSetIndex(c, &c.excl, Exclusive)} {
+			for _, err := range []error{checkMarks(c, c.dirty, Modified), checkMarks(c, c.excl, Exclusive), checkAges(c)} {
 				if err != nil {
 					t.Logf("step %d: %v", step, err)
 					return false
@@ -307,9 +328,9 @@ func TestStateCountsMatchScanProperty(t *testing.T) {
 			var excl, wantExcl []uint64
 			c.EachExclusive(func(a uint64) { excl = append(excl, a) })
 			for s := 0; s < c.cfg.Sets(); s++ {
-				for _, ln := range c.set(uint64(s)) {
-					if ln.state == Exclusive {
-						wantExcl = append(wantExcl, ln.tag<<c.lineShift)
+				for _, w := range c.set(uint64(s)) {
+					if wayState(w) == Exclusive {
+						wantExcl = append(wantExcl, c.addr(uint64(s), w))
 					}
 				}
 			}
@@ -343,5 +364,256 @@ func TestEachExclusiveDowngradeInPlace(t *testing.T) {
 	}
 	if c.count[Exclusive] != 0 || c.count[Shared] != 3 || c.DirtyCount() != 1 {
 		t.Fatalf("counts after downgrade = %v", c.count)
+	}
+}
+
+// refCache is the clock-LRU cache this package's packed ways replaced,
+// kept as the reference model: every way carries its full line number,
+// its state and the value of a per-cache clock at its last Lookup hit or
+// Insert, and the victim is the valid way with the smallest stamp.
+type refCache struct {
+	cfg   Config
+	lines []refLine // set s holds ways lines[s*Ways : (s+1)*Ways]
+	clock uint64
+}
+
+type refLine struct {
+	tag   uint64 // the full line number
+	state LineState
+	lru   uint64
+}
+
+func newRef(cfg Config) *refCache {
+	return &refCache{cfg: cfg, lines: make([]refLine, cfg.Sets()*cfg.Ways)}
+}
+
+func (r *refCache) set(addr uint64) []refLine {
+	s := int(addr/uint64(r.cfg.LineBytes)) & (r.cfg.Sets() - 1)
+	return r.lines[s*r.cfg.Ways : (s+1)*r.cfg.Ways]
+}
+
+func (r *refCache) find(addr uint64) *refLine {
+	tag := addr / uint64(r.cfg.LineBytes)
+	ways := r.set(addr)
+	for i := range ways {
+		if ways[i].state.Valid() && ways[i].tag == tag {
+			return &ways[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) Lookup(addr uint64) (LineState, bool) {
+	if ln := r.find(addr); ln != nil {
+		r.clock++
+		ln.lru = r.clock
+		return ln.state, true
+	}
+	return Invalid, false
+}
+
+func (r *refCache) Peek(addr uint64) (LineState, bool) {
+	if ln := r.find(addr); ln != nil {
+		return ln.state, true
+	}
+	return Invalid, false
+}
+
+func (r *refCache) Insert(addr uint64, st LineState) (Victim, bool) {
+	r.clock++
+	if ln := r.find(addr); ln != nil {
+		ln.state, ln.lru = st, r.clock
+		return Victim{}, false
+	}
+	ways := r.set(addr)
+	idx := -1
+	for i := range ways {
+		if !ways[i].state.Valid() {
+			idx = i
+			break
+		}
+	}
+	var v Victim
+	evicted := idx < 0
+	if evicted {
+		idx = 0
+		for i := 1; i < len(ways); i++ {
+			if ways[i].lru < ways[idx].lru {
+				idx = i
+			}
+		}
+		v = Victim{Addr: ways[idx].tag * uint64(r.cfg.LineBytes), Dirty: ways[idx].state.Dirty()}
+	}
+	ways[idx] = refLine{tag: addr / uint64(r.cfg.LineBytes), state: st, lru: r.clock}
+	return v, evicted
+}
+
+func (r *refCache) SetState(addr uint64, st LineState) bool {
+	ln := r.find(addr)
+	if ln != nil {
+		ln.state = st
+	}
+	return ln != nil
+}
+
+func (r *refCache) Invalidate(addr uint64) (wasDirty, wasPresent bool) {
+	ln := r.find(addr)
+	if ln == nil {
+		return false, false
+	}
+	wasDirty, ln.state = ln.state.Dirty(), Invalid
+	return wasDirty, true
+}
+
+func (r *refCache) FlushDirty(dst []uint64) []uint64 {
+	for i := range r.lines {
+		if ln := &r.lines[i]; ln.state == Modified {
+			dst = append(dst, ln.tag*uint64(r.cfg.LineBytes))
+			ln.state = Invalid
+		}
+	}
+	return dst
+}
+
+func (r *refCache) EachExclusive(f func(addr uint64)) {
+	for i := range r.lines {
+		if ln := &r.lines[i]; ln.state == Exclusive {
+			f(ln.tag * uint64(r.cfg.LineBytes))
+		}
+	}
+}
+
+// model is the method set the differential test drives on both caches.
+type model interface {
+	Lookup(uint64) (LineState, bool)
+	Peek(uint64) (LineState, bool)
+	Insert(uint64, LineState) (Victim, bool)
+	SetState(uint64, LineState) bool
+	Invalidate(uint64) (bool, bool)
+	FlushDirty([]uint64) []uint64
+	EachExclusive(func(uint64))
+}
+
+// diffAddrs is the address pool of a differential run on cfg: for a few
+// sets, more lines than the set has ways, half of them private
+// (dram.PrivateBit and an owner node in bits 48 and up, as
+// Placement.PrivateAddr makes them) and some with every high address bit
+// set, each at a random offset within its line.
+func diffAddrs(cfg Config, rng *sim.RNG) []uint64 {
+	sets := uint64(cfg.Sets())
+	highs := []uint64{0, dram.PrivateBit, dram.PrivateBit | 5<<48, dram.PrivateBit | 1023<<48, ^uint64(1<<47 - 1)}
+	var pool []uint64
+	for _, s := range []uint64{0, 1, sets - 1} {
+		for tag := uint64(0); tag < uint64(cfg.Ways)+3; tag++ {
+			high := highs[rng.Intn(len(highs))]
+			line := (tag*sets + s) * uint64(cfg.LineBytes)
+			pool = append(pool, high|line|uint64(rng.Intn(cfg.LineBytes)))
+		}
+	}
+	return pool
+}
+
+// The packed-way cache behaves exactly like the clock-LRU reference under
+// seeded random Lookup/Insert/SetState/Invalidate/FlushDirty/EachExclusive
+// sequences on the paper's L1 and L2 geometries and the small one the
+// properties above use: every hit and state, every victim, and the order
+// of every FlushDirty and EachExclusive listing match. EachExclusive's
+// callback downgrades or drops some lines as it goes, as the coherence
+// protocol's sleep flush does.
+func TestMatchesClockLRUReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{SizeBytes: 16 << 10, LineBytes: 64, Ways: 2},
+		{SizeBytes: 64 << 10, LineBytes: 64, Ways: 8},
+		{SizeBytes: 512, LineBytes: 64, Ways: 2},
+	} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			rng := sim.NewRNG(seed)
+			c, r := New(cfg), newRef(cfg)
+			pool := diffAddrs(cfg, rng)
+			evictions, flushed, excl := 0, 0, 0
+			for step := 0; step < 20000; step++ {
+				addr := pool[rng.Intn(len(pool))]
+				st := LineState(1 + rng.Intn(3))
+				fail := func(what string, got, want any) {
+					t.Fatalf("%+v seed %d step %d: %s(%#x) = %v, reference %v", cfg, seed, step, what, addr, got, want)
+				}
+				switch k := rng.Intn(16); {
+				case k < 5:
+					gs, gh := c.Lookup(addr)
+					ws, wh := r.Lookup(addr)
+					if gs != ws || gh != wh {
+						fail("Lookup", []any{gs, gh}, []any{ws, wh})
+					}
+				case k < 10:
+					gv, ge := c.Insert(addr, st)
+					wv, we := r.Insert(addr, st)
+					if gv != wv || ge != we {
+						fail("Insert", []any{gv, ge}, []any{wv, we})
+					}
+					if ge {
+						evictions++
+					}
+				case k < 12:
+					if got, want := c.SetState(addr, st), r.SetState(addr, st); got != want {
+						fail("SetState", got, want)
+					}
+				case k < 14:
+					gd, gp := c.Invalidate(addr)
+					wd, wp := r.Invalidate(addr)
+					if gd != wd || gp != wp {
+						fail("Invalidate", []any{gd, gp}, []any{wd, wp})
+					}
+				case k < 15 && rng.Intn(8) == 0:
+					got, want := c.FlushDirty(nil), r.FlushDirty(nil)
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						fail("FlushDirty", got, want)
+					}
+					flushed += len(got)
+				default:
+					// The same i-th visit gets the same action on both.
+					salt := rng.Uint64()
+					visit := func(m model, seen *[]uint64) func(uint64) {
+						return func(a uint64) {
+							*seen = append(*seen, a)
+							switch (salt >> (2 * (len(*seen) % 32))) % 4 {
+							case 0:
+								m.SetState(a, Shared)
+							case 1:
+								m.Invalidate(a)
+							}
+						}
+					}
+					var got, want []uint64
+					c.EachExclusive(visit(c, &got))
+					r.EachExclusive(visit(r, &want))
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						fail("EachExclusive", got, want)
+					}
+					excl += len(got)
+				}
+				if step%64 == 0 {
+					n := 0
+					for _, a := range pool {
+						gs, gh := c.Peek(a)
+						ws, wh := r.Peek(a)
+						if gs != ws || gh != wh {
+							t.Fatalf("%+v seed %d step %d: Peek(%#x) = %v,%v, reference %v,%v", cfg, seed, step, a, gs, gh, ws, wh)
+						}
+						if wh {
+							n++
+						}
+					}
+					if c.ValidCount() != n {
+						t.Fatalf("%+v seed %d step %d: ValidCount %d, reference holds %d", cfg, seed, step, c.ValidCount(), n)
+					}
+					if err := checkAges(c); err != nil {
+						t.Fatalf("%+v seed %d step %d: %v", cfg, seed, step, err)
+					}
+				}
+			}
+			if evictions == 0 || flushed == 0 || excl == 0 {
+				t.Fatalf("%+v seed %d: run missed a path: %d evictions, %d flushed, %d exclusive visits", cfg, seed, evictions, flushed, excl)
+			}
+		}
 	}
 }

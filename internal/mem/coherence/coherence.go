@@ -77,48 +77,42 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// sharerSet is a bitvector over the node space. The common ≤64-node case
-// stays a single word; larger machines (the sharded core model runs to
-// 1024 nodes) grow extra words lazily. forEach visits set bits in
-// ascending node order, which keeps invalidation delivery order — and
-// therefore the simulation — deterministic.
+// sharerSet is a bitvector over a region's nodes: the first word, nodes
+// 0..63, sits in the directory entry, and regions of more than 64 nodes
+// (the sharded core model runs to 1024) keep the rest in the directory's
+// side slab. forEach visits set bits in ascending node order, which keeps
+// invalidation delivery order — and therefore the simulation —
+// deterministic.
 type sharerSet struct {
-	word uint64   // nodes 0..63
+	word *uint64  // nodes 0..63
 	ext  []uint64 // nodes 64..; word i covers 64*(i+1)..64*(i+2)-1
 }
 
-func (s *sharerSet) has(n int) bool {
+func (s sharerSet) has(n int) bool {
 	if n < 64 {
-		return s.word&(1<<uint(n)) != 0
+		return *s.word&(1<<uint(n)) != 0
 	}
-	i := n/64 - 1
-	return i < len(s.ext) && s.ext[i]&(1<<uint(n%64)) != 0
+	return s.ext[n/64-1]&(1<<uint(n%64)) != 0
 }
 
-func (s *sharerSet) add(n int) {
+func (s sharerSet) add(n int) {
 	if n < 64 {
-		s.word |= 1 << uint(n)
+		*s.word |= 1 << uint(n)
 		return
 	}
-	i := n/64 - 1
-	for len(s.ext) <= i {
-		s.ext = append(s.ext, 0)
-	}
-	s.ext[i] |= 1 << uint(n%64)
+	s.ext[n/64-1] |= 1 << uint(n%64)
 }
 
-func (s *sharerSet) remove(n int) {
+func (s sharerSet) remove(n int) {
 	if n < 64 {
-		s.word &^= 1 << uint(n)
+		*s.word &^= 1 << uint(n)
 		return
 	}
-	if i := n/64 - 1; i < len(s.ext) {
-		s.ext[i] &^= 1 << uint(n%64)
-	}
+	s.ext[n/64-1] &^= 1 << uint(n%64)
 }
 
-func (s *sharerSet) empty() bool {
-	if s.word != 0 {
+func (s sharerSet) empty() bool {
+	if *s.word != 0 {
 		return false
 	}
 	for _, w := range s.ext {
@@ -129,23 +123,13 @@ func (s *sharerSet) empty() bool {
 	return true
 }
 
-func (s *sharerSet) clear() {
-	s.word = 0
-	for i := range s.ext {
-		s.ext[i] = 0
-	}
+func (s sharerSet) clear() {
+	*s.word = 0
+	clear(s.ext)
 }
 
-func (s *sharerSet) count() int {
-	c := bits.OnesCount64(s.word)
-	for _, w := range s.ext {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-func (s *sharerSet) forEach(f func(int)) {
-	for v := s.word; v != 0; v &= v - 1 {
+func (s sharerSet) forEach(f func(int)) {
+	for v := *s.word; v != 0; v &= v - 1 {
 		f(bits.TrailingZeros64(v))
 	}
 	for i, w := range s.ext {
@@ -164,10 +148,13 @@ const (
 	dirExclusive // single owner, possibly dirty
 )
 
+// dirEntry is one line's directory state, 16 bytes: the sharer bits of
+// nodes 0..63 (the rest are in the directory's side slab), the owner of
+// a dirExclusive line, and the state.
 type dirEntry struct {
-	state   dirState
-	owner   int
-	sharers sharerSet
+	word  uint64
+	owner int32
+	state dirState
 }
 
 // Protocol is the machine-wide coherence engine: all directories, caches,
@@ -176,9 +163,9 @@ type Protocol struct {
 	cfg   Config
 	net   *noc.Network
 	place *dram.Placement
-	mems  []*dram.Memory
-	l1s   []*cache.Cache
-	l2s   []*cache.Cache
+	mems  []dram.Memory
+	l1s   []cache.Cache
+	l2s   []cache.Cache
 	dir   directory
 	gated []bool
 	// flushed backs the line lists of FlushForSleep.
@@ -208,21 +195,19 @@ func New(cfg Config, net *noc.Network, place *dram.Placement) *Protocol {
 	if net.Config().Nodes != cfg.Nodes || place.Nodes() != cfg.Nodes {
 		panic("coherence: network/placement node count mismatch")
 	}
-	p := &Protocol{
+	// All caches share one slab, and all memories another, so building a
+	// protocol costs the same few allocations at any node count.
+	caches := cache.NewSlab(cfg.Nodes, cfg.L1, cfg.L2)
+	return &Protocol{
 		cfg:   cfg,
 		net:   net,
 		place: place,
-		mems:  make([]*dram.Memory, cfg.Nodes),
-		l1s:   make([]*cache.Cache, cfg.Nodes),
-		l2s:   make([]*cache.Cache, cfg.Nodes),
+		mems:  dram.NewSlab(cfg.Nodes, dram.DefaultConfig()),
+		l1s:   caches[:cfg.Nodes],
+		l2s:   caches[cfg.Nodes:],
+		dir:   newDirectory(cfg.Nodes),
 		gated: make([]bool, cfg.Nodes),
 	}
-	for i := 0; i < cfg.Nodes; i++ {
-		p.mems[i] = dram.New(dram.DefaultConfig())
-		p.l1s[i] = cache.New(cfg.L1)
-		p.l2s[i] = cache.New(cfg.L2)
-	}
-	return p
 }
 
 // Config returns the protocol configuration.
@@ -278,8 +263,8 @@ func (p *Protocol) fillLine(node int, line uint64, st cache.LineState) {
 // evictFromDirectory updates the directory when node silently drops line
 // (replacement). Dirty victims write back to the home memory.
 func (p *Protocol) evictFromDirectory(node int, line uint64, dirty bool) {
-	e := p.dir.lookup(line)
-	if e == nil {
+	e, ok := p.dir.lookup(line)
+	if !ok {
 		return
 	}
 	switch e.state {
@@ -289,7 +274,7 @@ func (p *Protocol) evictFromDirectory(node int, line uint64, dirty bool) {
 			p.dir.remove(line)
 		}
 	case dirExclusive:
-		if e.owner == node {
+		if int(e.owner) == node {
 			p.dir.remove(line)
 			if dirty {
 				p.stats.Writebacks++
@@ -328,7 +313,7 @@ func (p *Protocol) readMiss(node int, line uint64) sim.Cycles {
 		lat += p.mems[home].Access(line) + p.cfg.Bus
 		lat += p.net.Latency(home, node, p.cfg.DataBytes)
 		e.state = dirExclusive
-		e.owner = node
+		e.owner = int32(node)
 		e.sharers.clear()
 		p.fillLine(node, line, cache.Exclusive)
 
@@ -339,7 +324,7 @@ func (p *Protocol) readMiss(node int, line uint64) sim.Cycles {
 		p.fillLine(node, line, cache.Shared)
 
 	case dirExclusive:
-		owner := e.owner
+		owner := int(e.owner)
 		if owner == node {
 			// Stale directory after a silent L1-only drop cannot happen
 			// (inclusion); owner==node with a cache miss means the L2
@@ -428,7 +413,7 @@ func (p *Protocol) upgrade(node int, line uint64, probe sim.Cycles) sim.Cycles {
 	})
 	lat += ackMax
 	e.state = dirExclusive
-	e.owner = node
+	e.owner = int32(node)
 	e.sharers.clear()
 	p.l1s[node].SetState(line, cache.Modified)
 	p.l2s[node].SetState(line, cache.Modified)
@@ -469,7 +454,7 @@ func (p *Protocol) writeMiss(node int, line uint64) sim.Cycles {
 		}
 
 	case dirExclusive:
-		owner := e.owner
+		owner := int(e.owner)
 		if owner != node {
 			if p.gated[owner] {
 				panic(fmt.Sprintf("coherence: forward to gated node %d for line %#x (flush-before-sleep violated)", owner, line))
@@ -484,7 +469,7 @@ func (p *Protocol) writeMiss(node int, line uint64) sim.Cycles {
 		}
 	}
 	e.state = dirExclusive
-	e.owner = node
+	e.owner = int32(node)
 	e.sharers.clear()
 	p.fillLine(node, line, cache.Modified)
 	return lat
@@ -532,10 +517,10 @@ func (p *Protocol) FlushForSleep(node int) (lines int, latency sim.Cycles) {
 // flushed, so the owner's Exclusive L2 lines are exactly the entries to
 // downgrade.
 func (p *Protocol) downgradeExclusives(node int) {
-	l1, l2 := p.l1s[node], p.l2s[node]
+	l1, l2 := &p.l1s[node], &p.l2s[node]
 	l2.EachExclusive(func(line uint64) {
-		e := p.dir.lookup(line)
-		if e == nil || e.state != dirExclusive || e.owner != node {
+		e, ok := p.dir.lookup(line)
+		if !ok || e.state != dirExclusive || int(e.owner) != node {
 			return
 		}
 		l1.SetState(line, cache.Shared)
@@ -553,10 +538,10 @@ func (p *Protocol) DirtyLines(node int) int {
 }
 
 // L1 exposes node's L1 cache for inspection in tests.
-func (p *Protocol) L1(node int) *cache.Cache { return p.l1s[node] }
+func (p *Protocol) L1(node int) *cache.Cache { return &p.l1s[node] }
 
 // L2 exposes node's L2 cache for inspection in tests.
-func (p *Protocol) L2(node int) *cache.Cache { return p.l2s[node] }
+func (p *Protocol) L2(node int) *cache.Cache { return &p.l2s[node] }
 
 // Memory exposes node's DRAM for inspection in tests.
-func (p *Protocol) Memory(node int) *dram.Memory { return p.mems[node] }
+func (p *Protocol) Memory(node int) *dram.Memory { return &p.mems[node] }

@@ -8,26 +8,50 @@ import "math/bits"
 // directory costs no garbage once the slab has grown to the run's working
 // set. Nothing iterates the directory, so its layout cannot reach results.
 //
-// A *dirEntry from lookup or entry stays valid until the next entry call
-// (which may grow the slab) or until its own line is removed.
+// An entry keeps the sharer bits of nodes 0..63 itself. In a region of
+// more than 64 nodes the rest live in ext, a side slab of extWords words
+// per slot, so the common entry stays 16 bytes.
+//
+// A dirLine from lookup or entry stays valid until the next entry call
+// (which may grow the slabs) or until its own line is removed.
 type directory struct {
-	slab  []dirEntry
-	free  []int32
-	index lineIndex
+	slab     []dirEntry
+	ext      []uint64
+	extWords int
+	free     []int32
+	index    lineIndex
 }
 
-// lookup returns line's entry, or nil when the line is uncached.
-func (d *directory) lookup(line uint64) *dirEntry {
+// newDirectory returns an empty directory for a region of nodes nodes.
+func newDirectory(nodes int) directory {
+	return directory{extWords: (nodes - 1) / 64}
+}
+
+// dirLine is one line's entry together with its whole sharer set.
+type dirLine struct {
+	*dirEntry
+	sharers sharerSet
+}
+
+// at returns the entry in slot.
+func (d *directory) at(slot int32) dirLine {
+	e := &d.slab[slot]
+	i := int(slot) * d.extWords
+	return dirLine{e, sharerSet{word: &e.word, ext: d.ext[i : i+d.extWords : i+d.extWords]}}
+}
+
+// lookup returns line's entry, reporting false when the line is uncached.
+func (d *directory) lookup(line uint64) (dirLine, bool) {
 	if slot, ok := d.index.get(line); ok {
-		return &d.slab[slot]
+		return d.at(slot), true
 	}
-	return nil
+	return dirLine{}, false
 }
 
 // entry returns line's entry, adding an uncached one when it has none.
-func (d *directory) entry(line uint64) *dirEntry {
+func (d *directory) entry(line uint64) dirLine {
 	if slot, ok := d.index.get(line); ok {
-		return &d.slab[slot]
+		return d.at(slot)
 	}
 	var slot int32
 	if n := len(d.free); n > 0 {
@@ -35,12 +59,15 @@ func (d *directory) entry(line uint64) *dirEntry {
 		d.free = d.free[:n-1]
 	} else {
 		d.slab = append(d.slab, dirEntry{})
+		for i := 0; i < d.extWords; i++ {
+			d.ext = append(d.ext, 0)
+		}
 		slot = int32(len(d.slab) - 1)
 	}
 	d.index.put(line, slot)
-	e := &d.slab[slot]
-	// A reused slot keeps its sharer words' capacity, not their bits.
-	*e = dirEntry{state: dirUncached, sharers: sharerSet{ext: e.sharers.ext[:0]}}
+	e := d.at(slot)
+	*e.dirEntry = dirEntry{state: dirUncached}
+	e.sharers.clear()
 	return e
 }
 

@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"thriftybarrier/internal/sim"
 )
@@ -87,32 +88,49 @@ func TestLineIndexMatchesMap(t *testing.T) {
 }
 
 // The directory reuses freed slab slots and grows its index past the
-// initial size without losing entries.
+// initial size without losing entries, in a region of at most 64 nodes
+// and in one whose sharer sets spill into the side slab.
 func TestDirectorySlabReuse(t *testing.T) {
-	var d directory
-	for i := uint64(0); i < 1000; i++ {
-		e := d.entry(i << 6)
-		e.state = dirExclusive
-		e.owner = int(i % 8)
-	}
-	for i := uint64(0); i < 1000; i += 2 {
-		d.remove(i << 6)
-	}
-	for i := uint64(0); i < 1000; i++ {
-		e := d.lookup(i << 6)
-		if (e == nil) != (i%2 == 0) {
-			t.Fatalf("line %#x: present %v after removing even lines", i<<6, e != nil)
+	for _, nodes := range []int{64, 1024} {
+		d := newDirectory(nodes)
+		for i := uint64(0); i < 1000; i++ {
+			e := d.entry(i << 6)
+			e.state = dirExclusive
+			e.owner = int32(i % 8)
+			e.sharers.add(int(i) % nodes)
 		}
-		if e != nil && (e.state != dirExclusive || e.owner != int(i%8)) {
-			t.Fatalf("line %#x: entry %+v", i<<6, *e)
+		for i := uint64(0); i < 1000; i += 2 {
+			d.remove(i << 6)
+		}
+		for i := uint64(0); i < 1000; i++ {
+			e, ok := d.lookup(i << 6)
+			if ok != (i%2 == 1) {
+				t.Fatalf("%d nodes, line %#x: present %v after removing even lines", nodes, i<<6, ok)
+			}
+			if ok && (e.state != dirExclusive || e.owner != int32(i%8) || !e.sharers.has(int(i)%nodes)) {
+				t.Fatalf("%d nodes, line %#x: entry %+v", nodes, i<<6, *e.dirEntry)
+			}
+		}
+		for i := uint64(2000); i < 2500; i++ {
+			if e := d.entry(i << 6); e.state != dirUncached || e.owner != 0 || !e.sharers.empty() {
+				t.Fatalf("%d nodes: reused slot not reset: %+v", nodes, *e.dirEntry)
+			}
+		}
+		if len(d.slab) != 1000 || len(d.ext) != 1000*d.extWords {
+			t.Fatalf("%d nodes: slabs grew to %d slots and %d words, want the 1000 freed slots reused", nodes, len(d.slab), len(d.ext))
 		}
 	}
-	for i := uint64(2000); i < 2500; i++ {
-		if e := d.entry(i << 6); e.state != dirUncached || e.owner != 0 || !e.sharers.empty() {
-			t.Fatalf("reused slot not reset: %+v", *e)
-		}
+}
+
+// An entry is 16 bytes, and a region of at most 64 nodes keeps no side
+// slab of sharer words.
+func TestDirEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(dirEntry{}); n > 16 {
+		t.Fatalf("dirEntry is %d bytes, want at most 16", n)
 	}
-	if len(d.slab) != 1000 {
-		t.Fatalf("slab grew to %d slots, want the 1000 freed ones reused", len(d.slab))
+	d := newDirectory(64)
+	d.entry(0).sharers.add(63)
+	if d.extWords != 0 || d.ext != nil {
+		t.Fatalf("64-node directory keeps %d side words per entry", d.extWords)
 	}
 }

@@ -21,10 +21,10 @@ func newRegionProto() *Protocol {
 }
 
 // eachEntry calls f with every directory entry and its line.
-func eachEntry(p *Protocol, f func(line uint64, e *dirEntry)) {
+func eachEntry(p *Protocol, f func(line uint64, e dirLine)) {
 	for _, b := range p.dir.index.buckets {
 		if b.slot != 0 {
-			f(b.line, &p.dir.slab[b.slot-1])
+			f(b.line, p.dir.at(b.slot-1))
 		}
 	}
 }
@@ -33,7 +33,7 @@ func eachEntry(p *Protocol, f func(line uint64, e *dirEntry)) {
 // every dirExclusive entry's owner holds the line in its L2 as E or M, and
 // every dirShared entry has at least one sharer.
 func checkDirectory(p *Protocol) (err error) {
-	eachEntry(p, func(line uint64, e *dirEntry) {
+	eachEntry(p, func(line uint64, e dirLine) {
 		if err != nil {
 			return
 		}
@@ -71,6 +71,7 @@ func TestDirectoryInvariantUnderSleep(t *testing.T) {
 				p := tc.proto()
 				nodes := p.Config().Nodes
 				rng := sim.NewRNG(seed)
+				evictions := 0
 				for i := 0; i < tc.steps; i++ {
 					now := sim.Cycles(i * 10)
 					n := rng.Intn(nodes)
@@ -92,8 +93,8 @@ func TestDirectoryInvariantUnderSleep(t *testing.T) {
 						p.SetGated(n, false) // the sleeper wakes
 					case rng.Bool(0.02):
 						p.FlushForSleep(n)
-						eachEntry(p, func(l uint64, e *dirEntry) {
-							if e.state == dirExclusive && e.owner == n {
+						eachEntry(p, func(l uint64, e dirLine) {
+							if e.state == dirExclusive && int(e.owner) == n {
 								t.Fatalf("step %d: node %d still owns line %#x after FlushForSleep", i, n, l)
 							}
 						})
@@ -101,10 +102,19 @@ func TestDirectoryInvariantUnderSleep(t *testing.T) {
 							t.Fatalf("step %d: node %d has %d dirty lines after FlushForSleep", i, n, d)
 						}
 						p.SetGated(n, true)
-					case rng.Bool(0.35):
-						p.Write(n, line, now)
 					default:
-						p.Read(n, line, now)
+						// A fill into n's L2 that leaves its line count
+						// unchanged replaced a line.
+						before := p.L2(n).ValidCount()
+						_, present := p.L2(n).Peek(line)
+						if rng.Bool(0.35) {
+							p.Write(n, line, now)
+						} else {
+							p.Read(n, line, now)
+						}
+						if !present && p.L2(n).ValidCount() == before {
+							evictions++
+						}
 					}
 					if err := checkDirectory(p); err != nil {
 						t.Fatalf("step %d: %v", i, err)
@@ -113,11 +123,6 @@ func TestDirectoryInvariantUnderSleep(t *testing.T) {
 				// The run must have reached every path the invariants
 				// guard: forwards, invalidations of gated sharers, flushed
 				// dirty lines and L2 replacements.
-				var evictions uint64
-				for n := 0; n < nodes; n++ {
-					_, _, ev, _ := p.L2(n).Stats()
-					evictions += ev
-				}
 				s := p.Stats()
 				if s.Forwards == 0 || s.GatedInvalidationAcks == 0 || s.FlushedLines == 0 || evictions == 0 {
 					t.Fatalf("run missed a protocol path: %+v, L2 evictions %d", s, evictions)

@@ -58,15 +58,24 @@ type Memory struct {
 }
 
 // New builds a memory, panicking on invalid static configuration.
-func New(cfg Config) *Memory {
+func New(cfg Config) *Memory { return &NewSlab(1, cfg)[0] }
+
+// NewSlab builds n memories whose open-row tables share one array, so a
+// machine's memories cost two allocations whatever their count. It panics
+// on invalid static configuration, like New.
+func NewSlab(n int, cfg Config) []Memory {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	rows := make([]uint64, cfg.Banks)
+	rows := make([]uint64, n*cfg.Banks)
 	for i := range rows {
 		rows[i] = ^uint64(0)
 	}
-	return &Memory{cfg: cfg, openRow: rows}
+	mems := make([]Memory, n)
+	for i := range mems {
+		mems[i] = Memory{cfg: cfg, openRow: rows[i*cfg.Banks : (i+1)*cfg.Banks : (i+1)*cfg.Banks]}
+	}
+	return mems
 }
 
 // Access performs one access and returns its latency, updating the open-row

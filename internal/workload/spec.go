@@ -149,9 +149,10 @@ func (s Spec) Build(nodes int, seed uint64) core.SliceProgram {
 	}
 	root := sim.NewRNG(seed).Split(s.Seed)
 	prog := make(core.SliceProgram, 0, s.Phases())
+	refs := newRefTables(s, nodes)
 
 	addPhase := func(b BarrierSpec, pc uint64, instance int) {
-		gen := newPhaseGen(b, nodes, instance, root.Split(pc).Split(uint64(instance)))
+		gen := newPhaseGen(b, nodes, instance, root.Split(pc).Split(uint64(instance)), refs)
 		prog = append(prog, core.PhaseSpec{
 			PC:            pc,
 			Segment:       gen.segment,
@@ -172,6 +173,56 @@ func (s Spec) Build(nodes int, seed uint64) core.SliceProgram {
 	return prog
 }
 
+// sharedLines is the size of the region of shared lines every thread
+// reads from, and sharedStep the stride of one thread's reads through it.
+// sharedStepInv is sharedStep's inverse modulo sharedLines: 7·3511 =
+// 6·4096 + 1.
+const (
+	sharedLines   = 4096
+	sharedStep    = 7
+	sharedStepInv = 3511
+)
+
+// refTables holds every reference a program's segments hand out, built
+// once per program; segments are windows of them, so generating one
+// allocates nothing.
+type refTables struct {
+	// dirty holds each thread's dirty working set, maxDirty writes per
+	// thread: a fixed per-thread region, so lines are re-dirtied every
+	// phase. After a gated sleep's flush they come back as compulsory
+	// misses (§5.2).
+	dirty    []cpu.Ref
+	maxDirty int
+	// shared holds at entry k a read of shared line sharedStep·k mod
+	// sharedLines, and runs maxShared entries past the last line so that
+	// every window is contiguous.
+	shared []cpu.Ref
+}
+
+func newRefTables(s Spec, nodes int) *refTables {
+	maxDirty, maxShared := 0, 0
+	for _, bs := range [][]BarrierSpec{s.Prologue, s.Loop} {
+		for _, b := range bs {
+			maxDirty = max(maxDirty, b.DirtyLines)
+			maxShared = max(maxShared, b.SharedReads)
+		}
+	}
+	r := &refTables{dirty: make([]cpu.Ref, 0, nodes*maxDirty), maxDirty: maxDirty}
+	for t := 0; t < nodes; t++ {
+		for i := 0; i < maxDirty; i++ {
+			addr := uint64(1)<<45 | uint64(t)<<24 | uint64(i*64)
+			r.dirty = append(r.dirty, cpu.Ref{Addr: addr, Write: true})
+		}
+	}
+	if maxShared > 0 {
+		r.shared = make([]cpu.Ref, sharedLines+maxShared)
+		for k := range r.shared {
+			r.shared[k] = cpu.Ref{Addr: uint64(1)<<46 | uint64(sharedStep*k%sharedLines)<<6}
+		}
+	}
+	return r
+}
+
 // phaseGen produces deterministic per-thread segments for one dynamic
 // barrier instance.
 type phaseGen struct {
@@ -181,10 +232,11 @@ type phaseGen struct {
 	straggler int
 	swing     float64
 	rng       *sim.RNG
+	refs      *refTables
 }
 
-func newPhaseGen(b BarrierSpec, nodes, instance int, rng *sim.RNG) *phaseGen {
-	g := &phaseGen{spec: b, nodes: nodes, instance: instance, rng: rng, swing: 1}
+func newPhaseGen(b BarrierSpec, nodes, instance int, rng *sim.RNG, refs *refTables) *phaseGen {
+	g := &phaseGen{spec: b, nodes: nodes, instance: instance, rng: rng, swing: 1, refs: refs}
 	if len(b.Swing) > 0 {
 		g.swing = b.Swing[instance%len(b.Swing)]
 	}
@@ -194,7 +246,8 @@ func newPhaseGen(b BarrierSpec, nodes, instance int, rng *sim.RNG) *phaseGen {
 	return g
 }
 
-// segment builds thread t's compute work for this instance.
+// segment builds thread t's compute work for this instance: its dirty
+// lines, then its shared reads.
 func (g *phaseGen) segment(t int) cpu.Segment {
 	b := g.spec
 	// Per-thread jitter derived from a thread-specific stream so that
@@ -214,21 +267,17 @@ func (g *phaseGen) segment(t int) cpu.Segment {
 	}
 
 	seg := cpu.Segment{Instructions: int64(insns)}
-	nRefs := b.DirtyLines + b.SharedReads
-	if nRefs > 0 {
-		seg.Refs = make([]cpu.Ref, 0, nRefs)
-		// Each thread's dirty working set: a fixed per-thread region, so
-		// lines are re-dirtied every phase. After a gated sleep's flush
-		// they come back as compulsory misses (§5.2).
-		for i := 0; i < b.DirtyLines; i++ {
-			addr := uint64(1)<<45 | uint64(t)<<24 | uint64(i*64)
-			seg.Refs = append(seg.Refs, cpu.Ref{Addr: addr, Write: true})
-		}
-		// Shared reads spread over a region touched by all threads.
-		for i := 0; i < b.SharedReads; i++ {
-			addr := uint64(1)<<46 | uint64((g.instance*131+i*7+t)%4096)<<6
-			seg.Refs = append(seg.Refs, cpu.Ref{Addr: addr})
-		}
+	if n := b.DirtyLines; n > 0 {
+		at := t * g.refs.maxDirty
+		seg.Refs = g.refs.dirty[at : at+n : at+n]
+	}
+	// Thread t reads shared lines first, first+7, first+14, ... (mod
+	// 4096), spread over a region touched by all threads; that run
+	// starts at the table entry holding line first.
+	if n := b.SharedReads; n > 0 {
+		first := (g.instance*131 + t) % sharedLines
+		at := sharedStepInv * first % sharedLines
+		seg.More = g.refs.shared[at : at+n : at+n]
 	}
 	return seg
 }

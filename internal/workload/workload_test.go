@@ -1,9 +1,11 @@
 package workload
 
 import (
+	"reflect"
 	"testing"
 
 	"thriftybarrier/internal/core"
+	"thriftybarrier/internal/cpu"
 )
 
 func TestAllSpecsValidate(t *testing.T) {
@@ -260,5 +262,45 @@ func TestProfile(t *testing.T) {
 	// Barrier 2 is the long one (FMM's Figure 3 pattern).
 	if prof[1].MeanInstr <= prof[0].MeanInstr {
 		t.Errorf("barrier 2 (%v) not longer than barrier 1 (%v)", prof[1].MeanInstr, prof[0].MeanInstr)
+	}
+}
+
+// Every segment of every application streams exactly the references the
+// per-call generator it replaced built: thread t's DirtyLines writes to
+// its own region, then SharedReads reads of shared line
+// (instance·131 + 7i + t) mod 4096, in that order.
+func TestSegmentRefsMatchGenerator(t *testing.T) {
+	for _, s := range All() {
+		for _, nodes := range []int{8, 64} {
+			prog := s.Build(nodes, 1)
+			k := 0
+			check := func(b BarrierSpec, instance int) {
+				for th := 0; th < nodes; th++ {
+					var want []cpu.Ref
+					for i := 0; i < b.DirtyLines; i++ {
+						want = append(want, cpu.Ref{Addr: uint64(1)<<45 | uint64(th)<<24 | uint64(i*64), Write: true})
+					}
+					for i := 0; i < b.SharedReads; i++ {
+						want = append(want, cpu.Ref{Addr: uint64(1)<<46 | uint64((instance*131+i*7+th)%4096)<<6})
+					}
+					seg := prog.Phase(k).Segment(th)
+					got := append(append([]cpu.Ref(nil), seg.Refs...), seg.More...)
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s at %d nodes, phase %d thread %d: refs %v, want %v", s.Name, nodes, k, th, got, want)
+					}
+				}
+				k++
+			}
+			for _, b := range s.Prologue {
+				check(b, 0)
+			}
+			if !s.OneShot {
+				for it := 0; it < s.Iterations; it++ {
+					for _, b := range s.Loop {
+						check(b, it)
+					}
+				}
+			}
+		}
 	}
 }
