@@ -75,9 +75,6 @@ type CPU struct {
 	model    *power.Model
 	activity power.Activity
 	tl       sim.Timeline
-
-	segments uint64
-	stall    sim.Cycles
 }
 
 // New builds a CPU bound to a node of the coherence substrate.
@@ -123,9 +120,9 @@ func (c *CPU) RunSegment(now sim.Cycles, seg Segment) sim.Cycles {
 
 // run drives seg's sampled references, Refs then More, through the
 // memory hierarchy, issued back to back after the segment's base issue
-// cycles, and counts the segment. It returns the base cycles at nominal frequency and the
-// memory stall: each reference's latency beyond an L1 hit, less the
-// out-of-order overlap, scaled by RefScale.
+// cycles. It returns the base cycles at nominal frequency and the memory
+// stall: each reference's latency beyond an L1 hit, less the out-of-order
+// overlap, scaled by RefScale.
 func (c *CPU) run(now sim.Cycles, seg Segment) (base, stall sim.Cycles) {
 	base = sim.Cycles(float64(seg.Instructions) / c.cfg.IPC)
 	scale := seg.RefScale
@@ -149,8 +146,6 @@ func (c *CPU) run(now sim.Cycles, seg Segment) (base, stall sim.Cycles) {
 			t += lat
 		}
 	}
-	c.segments++
-	c.stall += stall
 	return base, stall
 }
 
@@ -174,11 +169,6 @@ func (c *CPU) ChargeTransition(s power.SleepState, d sim.Cycles) {
 // ChargeSleep accounts d cycles of residency in state s.
 func (c *CPU) ChargeSleep(s power.SleepState, d sim.Cycles) {
 	c.tl.AddInterval(sim.StateSleep, d, c.model.SleepPower(s))
-}
-
-// Stats reports how many segments ran and the accumulated memory stall.
-func (c *CPU) Stats() (segments uint64, stall sim.Cycles) {
-	return c.segments, c.stall
 }
 
 // RunSegmentDVFS executes seg with the core clock scaled by factor f in

@@ -53,8 +53,6 @@ func (c Config) Validate() error {
 type Memory struct {
 	cfg     Config
 	openRow []uint64 // per bank; ^0 = closed
-	hits    uint64
-	misses  uint64
 }
 
 // New builds a memory, panicking on invalid static configuration.
@@ -84,16 +82,11 @@ func (m *Memory) Access(addr uint64) sim.Cycles {
 	row := addr / uint64(m.cfg.RowBytes)
 	bank := int(row) & (m.cfg.Banks - 1)
 	if m.openRow[bank] == row {
-		m.hits++
 		return m.cfg.RowHit
 	}
 	m.openRow[bank] = row
-	m.misses++
 	return m.cfg.RowMiss
 }
-
-// Stats reports row-buffer hits and misses.
-func (m *Memory) Stats() (hits, misses uint64) { return m.hits, m.misses }
 
 // Placement maps addresses to home nodes: shared pages round-robin, private
 // pages local to their owner. The address space is split by a high bit so

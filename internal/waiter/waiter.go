@@ -6,10 +6,13 @@
 //
 // A Wait names a done flag (the spin target: one atomic load per spin
 // iteration), a release channel (the external wake-up), a cancel
-// channel, a spin budget and a clock. Every park can be bounded
-// (Wait.Limit): the remote client bounds its parks by a refresh deadline,
-// past which it re-sends its registration in case the release frame was
-// lost.
+// channel, a spin budget and a clock. Every spin phase yields the
+// processor between batches of loads: a spinner that keeps its P can
+// hold off the very goroutine that would release it (the runtime's own
+// spin rule, canSpin, spins only while the local run queue is empty).
+// Every park can be bounded (Wait.Limit): the remote client bounds its
+// parks by a refresh deadline, past which it re-sends its registration in
+// case the release frame was lost.
 package waiter
 
 import (
@@ -28,7 +31,7 @@ import (
 type Tier int
 
 const (
-	TierSpin      Tier = iota // busy-wait on the done flag, then park
+	TierSpin      Tier = iota // busy-wait on the done flag in yielding batches, then park
 	TierYield                 // poll over runtime.Gosched, then park
 	TierTimedPark             // park with an internal wake-up, then residual-spin
 	TierPark                  // park until the release
@@ -75,8 +78,9 @@ type Wait struct {
 	// prediction stops burning the processor and parks.
 	Budget time.Duration
 	// Spinnable reports that busy-waiting can make progress (GOMAXPROCS >
-	// 1). Without it a spinner only delays the releaser until the
-	// scheduler preempts it, so the spin phases yield instead.
+	// 1): the spin phases then load the flag in batches. Without it every
+	// load is followed by a yield, since a spinner only delays the
+	// releaser.
 	Spinnable bool
 	// Limit, when positive, bounds every park: it ends Expired once Limit
 	// has passed, armed on the timing wheel.
@@ -104,13 +108,16 @@ func (w *Wait) Run(t Tier, park time.Duration) Outcome {
 
 // SpinThenPark busy-waits within the spin budget, then parks — a wrong
 // "short" prediction costs at most the budget. The hot loop is a single
-// atomic load; the clock and the cancel channel are consulted only every
-// batch.
+// atomic load; the clock, the cancel channel and the scheduler are
+// consulted only every batch.
 func (w *Wait) SpinThenPark() Outcome { return w.poll(w.Spinnable) }
 
 // poll checks the done flag within the spin budget, then parks: 1024
-// loads per batch when spinning, one load per runtime.Gosched otherwise
-// (the yield rung, which shares the processor while it polls).
+// loads per batch when spinning, one otherwise (the yield rung). Every
+// batch ends in runtime.Gosched, so a goroutine queued on this P runs now
+// rather than when the budget is spent. That goroutine is typically the
+// party this one's own last release woke (goready queues it on the
+// releaser's P), and it is the straggler this wait is waiting for.
 func (w *Wait) poll(spin bool) Outcome {
 	batch := 1
 	if spin {
@@ -130,9 +137,7 @@ func (w *Wait) poll(spin bool) Outcome {
 			default:
 			}
 		}
-		if !spin {
-			runtime.Gosched()
-		}
+		runtime.Gosched()
 		if w.Now().After(deadline) {
 			return w.Park()
 		}

@@ -1,6 +1,7 @@
 package waiter
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -93,5 +94,35 @@ func TestTimedParkEarlyAndLate(t *testing.T) {
 
 	if o, early := released().TimedPark(time.Hour); o != Released || early {
 		t.Fatalf("release before the timer: %v early=%v, want late release", o, early)
+	}
+}
+
+// A spinner hands its processor over between batches. On one P, the peer
+// that will release the waiter needs 100 scheduling turns; if the spin
+// kept the P, each turn would wait for the scheduler's forced preemption
+// (10 ms), so the wait would outlast 100 × 10 ms and spin through hundreds
+// of thousands of batches. Handing over, each batch gives the peer about
+// one turn. The clock is read once a batch, so it counts them.
+func TestSpinHandsOverBetweenBatches(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const turns = 100
+	w, release := newWait()
+	w.Budget = time.Hour // only the release can end the spin
+	batches := 0
+	w.Now = func() time.Time {
+		batches++
+		return time.Now()
+	}
+	go func() {
+		for i := 0; i < turns; i++ {
+			runtime.Gosched()
+		}
+		release()
+	}()
+	if o := w.SpinThenPark(); o != Released {
+		t.Fatalf("spin ended %v, want Released", o)
+	}
+	if batches > 10*turns {
+		t.Fatalf("the release took %d spin batches for a peer that needs %d turns: the spinner kept the processor", batches, turns)
 	}
 }

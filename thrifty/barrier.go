@@ -86,7 +86,7 @@ func (*noCopy) Unlock() {}
 type Tier = waiter.Tier
 
 const (
-	TierSpin      = waiter.TierSpin      // busy-wait on the round, then park
+	TierSpin      = waiter.TierSpin      // busy-wait on the round in yielding batches, then park
 	TierYield     = waiter.TierYield     // poll over runtime.Gosched, then park
 	TierTimedPark = waiter.TierTimedPark // park with an internal wake-up, then residual-spin
 	TierPark      = waiter.TierPark      // park until the release
