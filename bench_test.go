@@ -608,44 +608,3 @@ func BenchmarkAblationDVFS(b *testing.B) {
 	b.ReportMetric((dvfsTime-1)*100, "%slowdown-dvfs")
 	b.ReportMetric((thriftyTime-1)*100, "%slowdown-thrifty")
 }
-
-// BenchmarkMutexThrifty measures the queue-fair predictive mutex against
-// the standard library under contention.
-func BenchmarkMutexThrifty(b *testing.B) {
-	var m thrifty.Mutex
-	var wg sync.WaitGroup
-	workers := 4
-	per := b.N/workers + 1
-	b.ResetTimer()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m.Lock()
-				m.Unlock() //nolint:staticcheck // empty critical section is the point
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// BenchmarkMutexStdlib is the sync.Mutex comparator.
-func BenchmarkMutexStdlib(b *testing.B) {
-	var m sync.Mutex
-	var wg sync.WaitGroup
-	workers := 4
-	per := b.N/workers + 1
-	b.ResetTimer()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				m.Lock()
-				m.Unlock() //nolint:staticcheck
-			}
-		}()
-	}
-	wg.Wait()
-}

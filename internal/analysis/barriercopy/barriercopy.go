@@ -1,6 +1,6 @@
-// Package barriercopy flags thrifty.Barrier, thrifty.Mutex, thrifty.Group
-// and sim.Engine values that are copied: passed by value, assigned from
-// another value, returned by value, or produced as range-loop copies.
+// Package barriercopy flags thrifty.Barrier, thrifty.Group and sim.Engine
+// values that are copied: passed by value, assigned from another value,
+// returned by value, or produced as range-loop copies.
 //
 // The thrifty types embed a noCopy marker, so go vet's copylocks check
 // catches many copies at run-of-vet time — but copylocks only understands
@@ -8,18 +8,18 @@
 // easy to leave out of a build pipeline. This analyzer enforces the
 // documented "must not be copied after first use" contract directly: a
 // copied Barrier splits the per-call-site predictor state and the
-// generation counter (two halves of a barrier that each think they are
-// whole), and a copied Mutex forks its FIFO queue — both fail in ways the
-// runtime cannot detect. A copied thrifty.Group forks the registry
-// pointer's enclosing value semantics: both copies still share the live
-// tables, so the copy *appears* to work until someone zero-initializes
-// or replaces one side, at which point lookups silently split between
-// two registries resolving the same names to different barriers — a
-// rendezvous that never completes. A copied sim.Engine is the event-arena analogue:
-// the copy shares the arena, free-list and heap backing arrays until one
-// side grows them, after which schedules and cancels split across two
-// diverging queues; the pointer-sized sim.Handle, by contrast, is a value
-// by design and copies freely.
+// generation counter into two halves of a barrier that each think they
+// are whole, a failure the runtime cannot detect. A copied thrifty.Group
+// forks the registry pointer's enclosing value semantics: both copies
+// still share the live tables, so the copy *appears* to work until
+// someone zero-initializes or replaces one side, at which point lookups
+// silently split between two registries resolving the same names to
+// different barriers — a rendezvous that never completes. A copied
+// sim.Engine is the event-arena analogue: the copy shares the arena,
+// free-list and heap backing arrays until one side grows them, after
+// which schedules and cancels split across two diverging queues; the
+// pointer-sized sim.Handle, by contrast, is a value by design and copies
+// freely.
 package barriercopy
 
 import (
@@ -32,7 +32,7 @@ import (
 // Analyzer is the barriercopy analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "barriercopy",
-	Doc: "flags thrifty.Barrier, thrifty.Mutex, thrifty.Group and sim.Engine values " +
+	Doc: "flags thrifty.Barrier, thrifty.Group and sim.Engine values " +
 		"copied by assignment, call argument, return, or range loop",
 	Run: run,
 }
@@ -41,7 +41,6 @@ var Analyzer = &analysis.Analyzer{
 // short display name used in diagnostics.
 var guarded = []struct{ pkg, name, display string }{
 	{analysis.ThriftyPkg, "Barrier", "thrifty.Barrier"},
-	{analysis.ThriftyPkg, "Mutex", "thrifty.Mutex"},
 	{analysis.ThriftyPkg, "Group", "thrifty.Group"},
 	{analysis.SimPkg, "Engine", "sim.Engine"},
 }

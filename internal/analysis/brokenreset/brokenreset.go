@@ -1,6 +1,6 @@
 // Package brokenreset enforces the broken-barrier protocol at call sites:
-// the error results of WaitContext, WaitSiteContext and LockContext must
-// not be discarded, and a branch that identifies thrifty.ErrBroken must
+// the error results of WaitContext and WaitSiteContext must not be
+// discarded, and a branch that identifies thrifty.ErrBroken must
 // either Reset() the barrier or stop using it.
 //
 // Once a generation breaks, every Wait variant fails fast with ErrBroken
@@ -27,18 +27,13 @@ import (
 // Analyzer is the brokenreset analyzer.
 var Analyzer = &analysis.Analyzer{
 	Name: "brokenreset",
-	Doc: "flags discarded WaitContext/LockContext errors and ErrBroken " +
+	Doc: "flags discarded WaitContext/WaitSiteContext errors and ErrBroken " +
 		"branches that neither Reset the barrier nor stop using it",
 	Run: run,
 }
 
-// errMethods maps the error-returning rendezvous methods to their
-// receiver type.
-var errMethods = map[string]string{
-	"WaitContext":     "Barrier",
-	"WaitSiteContext": "Barrier",
-	"LockContext":     "Mutex",
-}
+// errMethods are thrifty.Barrier's error-returning rendezvous methods.
+var errMethods = map[string]bool{"WaitContext": true, "WaitSiteContext": true}
 
 func run(pass *analysis.Pass) error {
 	info := pass.TypesInfo
@@ -50,11 +45,10 @@ func run(pass *analysis.Pass) error {
 		if !ok {
 			return "", false
 		}
-		typeName, guarded := errMethods[method]
-		if !guarded || !analysis.IsNamed(recv, analysis.ThriftyPkg, typeName) {
+		if !errMethods[method] || !analysis.IsNamed(recv, analysis.ThriftyPkg, "Barrier") {
 			return "", false
 		}
-		return "(*thrifty." + typeName + ")." + method, true
+		return "(*thrifty.Barrier)." + method, true
 	}
 
 	for _, file := range pass.Files {

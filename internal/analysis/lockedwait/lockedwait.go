@@ -4,11 +4,11 @@
 //
 // A thrifty barrier routes long predicted stalls to parking tiers: the
 // waiting goroutine blocks, possibly for the whole barrier interval. If
-// it blocks while holding a sync.Mutex, sync.RWMutex or thrifty.Mutex,
-// every other goroutine that needs that lock — typically including the
-// barrier participants it is waiting for — stalls behind it, and the
-// rendezvous can never complete: the sleeper holds the very resource its
-// release depends on. (The paper's §3.1 sleep states have the same
+// it blocks while holding a sync.Mutex or sync.RWMutex, every other
+// goroutine that needs that lock — typically including the barrier
+// participants it is waiting for — stalls behind it, and the rendezvous
+// can never complete: the sleeper holds the very resource its release
+// depends on. (The paper's §3.1 sleep states have the same
 // hazard in hardware: a processor must not go to sleep holding a lock
 // other processors spin on.)
 //

@@ -139,7 +139,6 @@ func (Lattice) Equal(a, b Set) bool {
 var lockTypes = []struct{ pkg, name string }{
 	{"sync", "Mutex"},
 	{"sync", "RWMutex"},
-	{analysis.ThriftyPkg, "Mutex"},
 }
 
 func isLockType(t types.Type) bool {

@@ -1,5 +1,5 @@
 // Golden cases for the barriercopy analyzer: thrifty.Barrier and
-// thrifty.Mutex values must never be copied.
+// thrifty.Group values must never be copied.
 package barriercopy
 
 import (
@@ -17,9 +17,9 @@ func flaggedAssignments() {
 	copied := *b // want `assignment copies thrifty\.Barrier by value`
 	_ = copied
 
-	var m thrifty.Mutex
-	m2 := m // want `assignment copies thrifty\.Mutex by value`
-	_ = m2
+	var g thrifty.Group
+	g2 := g // want `assignment copies thrifty\.Group by value`
+	_ = g2
 
 	var w wrapped
 	w2 := w // want `assignment copies thrifty\.Barrier by value`
@@ -30,14 +30,14 @@ func flaggedParams(b thrifty.Barrier) { // want `function takes thrifty\.Barrier
 	_ = b
 }
 
-func flaggedResult() thrifty.Mutex { // want `function returns thrifty\.Mutex by value`
-	var m thrifty.Mutex
-	return m
+func flaggedResult() thrifty.Group { // want `function returns thrifty\.Group by value`
+	var g thrifty.Group
+	return g
 }
 
 func flaggedCall() {
-	var m thrifty.Mutex
-	use(m) // want `call passes thrifty\.Mutex by value`
+	b := thrifty.New(4, thrifty.Options{})
+	use(*b) // want `call passes thrifty\.Barrier by value`
 }
 
 func use(any interface{}) { _ = any }
@@ -50,10 +50,10 @@ func flaggedRange() {
 }
 
 func suppressed() {
-	var m thrifty.Mutex
+	b := thrifty.New(4, thrifty.Options{})
 	//lint:ignore barriercopy fixture demonstrating directive suppression
-	m3 := m
-	_ = m3
+	b3 := *b
+	_ = b3
 }
 
 // --- clean cases: pointers and fresh construction are fine ---
@@ -61,18 +61,18 @@ func suppressed() {
 func cleanPointer() *thrifty.Barrier {
 	b := thrifty.New(4, thrifty.Options{})
 	takePtr(b)
-	var m thrifty.Mutex
-	takeMutexPtr(&m)
+	var g thrifty.Group
+	takeGroupPtr(&g)
 	return b
 }
 
 func takePtr(b *thrifty.Barrier)    { b.Wait() }
-func takeMutexPtr(m *thrifty.Mutex) { m.Lock(); m.Unlock() }
+func takeGroupPtr(g *thrifty.Group) { _ = g.Len() }
 
 func cleanConstruction() {
 	// A composite literal constructs; it does not copy a live value.
-	var m thrifty.Mutex
-	_ = &m
+	var g thrifty.Group
+	_ = &g
 	opts := thrifty.Options{Cutoff: 0.1}
 	_ = opts // Options holds no lock state: copying it is fine.
 	ptrs := make([]*thrifty.Barrier, 2)

@@ -1,4 +1,4 @@
-// Golden cases for the brokenreset analyzer: WaitContext/LockContext
+// Golden cases for the brokenreset analyzer: WaitContext/WaitSiteContext
 // errors must be consulted, and ErrBroken branches must Reset or stop.
 package brokenreset
 
@@ -11,13 +11,12 @@ import (
 	"thriftybarrier/thrifty"
 )
 
-func flaggedDiscards(b *thrifty.Barrier, m *thrifty.Mutex, ctx context.Context) {
+func flaggedDiscards(b *thrifty.Barrier, ctx context.Context) {
 	b.WaitContext(ctx)        // want `result of \(\*thrifty\.Barrier\)\.WaitContext is discarded`
 	b.WaitSiteContext(ctx, 1) // want `result of \(\*thrifty\.Barrier\)\.WaitSiteContext is discarded`
-	m.LockContext(ctx)        // want `result of \(\*thrifty\.Mutex\)\.LockContext is discarded`
 	_ = b.WaitContext(ctx)    // want `result of \(\*thrifty\.Barrier\)\.WaitContext is assigned to blank`
 	go b.WaitContext(ctx)     // want `result of \(\*thrifty\.Barrier\)\.WaitContext is discarded by go statement`
-	defer m.LockContext(ctx)  // want `result of \(\*thrifty\.Mutex\)\.LockContext is discarded by defer statement`
+	defer b.WaitContext(ctx)  // want `result of \(\*thrifty\.Barrier\)\.WaitContext is discarded by defer statement`
 }
 
 func flaggedSwallowedBroken(b *thrifty.Barrier, ctx context.Context) {

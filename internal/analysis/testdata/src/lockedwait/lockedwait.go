@@ -28,12 +28,6 @@ func flaggedRLock(b *thrifty.Barrier, rw *sync.RWMutex) {
 	rw.RUnlock()
 }
 
-func flaggedThriftyMutex(b *thrifty.Barrier, m *thrifty.Mutex) {
-	m.Lock()
-	b.Wait() // want `\(\*thrifty\.Barrier\)\.Wait called while mutex "m" is held`
-	m.Unlock()
-}
-
 type server struct {
 	mu sync.Mutex
 	b  *thrifty.Barrier

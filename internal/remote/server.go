@@ -12,6 +12,7 @@ import (
 	"thriftybarrier/internal/predict"
 	"thriftybarrier/internal/registry"
 	"thriftybarrier/internal/sim"
+	"thriftybarrier/internal/waiter"
 )
 
 // Options configures a Server. The zero value of each field selects the
@@ -185,6 +186,9 @@ type Server struct {
 	registrations, dupRegistrations, replays atomic.Uint64
 	releases, breaks, leaseBreaks            atomic.Uint64
 	cancelBreaks, stalls, shed, badFrames    atomic.Uint64
+
+	// thresholds are Options' tier boundaries, gathered once for Select.
+	thresholds waiter.Thresholds
 }
 
 // NewServer builds a server. It panics on an invalid predictor config
@@ -198,6 +202,11 @@ func NewServer(opts Options) *Server {
 		sessions:  make(map[*session]struct{}),
 		listeners: make(map[net.Listener]struct{}),
 		done:      make(chan struct{}),
+		thresholds: waiter.Thresholds{
+			Spin:      opts.SpinThreshold,
+			Yield:     opts.YieldThreshold,
+			TimedPark: opts.TimedParkThreshold,
+		},
 	}
 }
 
@@ -565,22 +574,10 @@ func (s *Server) directiveFor(bs *barrierState, clientID string, nonce uint64, n
 		}
 	}
 
-	var tier byte
-	switch {
-	case !havePred:
-		// Warm-up: no prediction yet. The in-process barrier spins here,
-		// but telling a remote CPU to spin on an unknown stall wastes the
-		// exact energy the service exists to save — yield-poll instead.
-		tier = TierYield
-	case stall <= o.SpinThreshold:
-		tier = TierSpin
-	case stall <= o.YieldThreshold:
-		tier = TierYield
-	case stall <= o.TimedParkThreshold:
-		tier = TierTimedPark
-	default:
-		tier = TierPark
-	}
+	// Warm-up yields where the in-process barrier spins: telling a remote
+	// CPU to spin on an unknown stall wastes the exact energy the service
+	// exists to save. The wire tiers number the ladder's.
+	tier := byte(waiter.Select(stall, havePred, waiter.TierYield, s.thresholds))
 	if shed && tier < TierTimedPark {
 		tier = TierTimedPark
 	}

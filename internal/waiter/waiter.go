@@ -1,8 +1,10 @@
 // Package waiter is the wait ladder of the thrifty barrier (§3.3): the
-// rungs that execute a sleep tier once a waiter knows it must wait. The
-// in-process barrier (thrifty) and the thriftyd client (thrifty/client)
-// both wait here. Tier selection stays with each side — the barrier's
-// local prediction, the server's directive — only execution is shared.
+// rungs that execute a sleep tier once a waiter knows it must wait, and
+// Select, the one §3.1 best-fit rule that picks the tier. The in-process
+// barrier (thrifty) and the thriftyd client (thrifty/client) both wait
+// here. The barrier selects from its local prediction; the thriftyd
+// server (internal/remote) selects from its own, with its own
+// thresholds, and ships the tier to the client in a directive.
 //
 // A Wait names a done flag (the spin target: one atomic load per spin
 // iteration), a release channel (the external wake-up), a cancel
@@ -50,6 +52,31 @@ func (t Tier) String() string {
 	default:
 		return fmt.Sprintf("Tier(%d)", int(t))
 	}
+}
+
+// Thresholds are the §3.1 best-fit boundaries: the largest predicted
+// stall that each of the Spin, Yield and TimedPark tiers covers. A longer
+// stall parks.
+type Thresholds struct {
+	Spin, Yield, TimedPark time.Duration
+}
+
+// Select is the sleep() best-fit scan (§3.1): the shallowest tier whose
+// threshold covers the predicted stall (stall <= threshold), and Park past
+// TimedPark. Without a prediction (warm-up, or a site cut off) it returns
+// warm: the in-process barrier spins there, the thriftyd server yields.
+func Select(stall time.Duration, havePred bool, warm Tier, th Thresholds) Tier {
+	switch {
+	case !havePred:
+		return warm
+	case stall <= th.Spin:
+		return TierSpin
+	case stall <= th.Yield:
+		return TierYield
+	case stall <= th.TimedPark:
+		return TierTimedPark
+	}
+	return TierPark
 }
 
 // DefaultBudget is the default spin budget: enough to catch a release

@@ -45,6 +45,43 @@ func TestTierString(t *testing.T) {
 	}
 }
 
+// Select takes the shallower tier at each threshold and the next tier 1 ns
+// past it, and the warm-up tier whenever there is no prediction, under
+// both threshold sets in use: the barrier's defaults and thriftyd's.
+func TestSelectBoundaries(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		th   Thresholds
+		warm Tier
+	}{
+		{"barrier", Thresholds{Spin: 20 * time.Microsecond, Yield: 100 * time.Microsecond, TimedPark: 5 * time.Millisecond}, TierSpin},
+		{"thriftyd", Thresholds{Spin: time.Millisecond, Yield: 10 * time.Millisecond, TimedPark: 250 * time.Millisecond}, TierYield},
+	} {
+		th := c.th
+		for _, tc := range []struct {
+			stall    time.Duration
+			havePred bool
+			want     Tier
+		}{
+			{0, true, TierSpin},
+			{th.Spin, true, TierSpin},
+			{th.Spin + 1, true, TierYield},
+			{th.Yield, true, TierYield},
+			{th.Yield + 1, true, TierTimedPark},
+			{th.TimedPark, true, TierTimedPark},
+			{th.TimedPark + 1, true, TierPark},
+			{time.Hour, true, TierPark},
+			{0, false, c.warm},
+			{th.Spin, false, c.warm},
+			{th.TimedPark + 1, false, c.warm},
+		} {
+			if got := Select(tc.stall, tc.havePred, c.warm, th); got != tc.want {
+				t.Errorf("%s: Select(%v, %v) = %v, want %v", c.name, tc.stall, tc.havePred, got, tc.want)
+			}
+		}
+	}
+}
+
 // Every rung ends Released on a released waiter, Cancelled on a cancelled
 // one, and — under a Limit — Expired when neither comes.
 func TestRungOutcomes(t *testing.T) {

@@ -320,6 +320,8 @@ type Barrier struct {
 	// scheduler preempts it (the same condition sync.Mutex's spin guard
 	// checks), so the spin tier degrades to yielding.
 	spinnable bool
+	// thresholds are Options' tier boundaries, gathered once for Select.
+	thresholds waiter.Thresholds
 }
 
 // New creates a barrier for parties goroutines. It panics if parties < 1.
@@ -335,6 +337,11 @@ func New(parties int, opts Options) *Barrier {
 		parties:   parties,
 		opts:      opts,
 		spinnable: runtime.GOMAXPROCS(0) > 1,
+		thresholds: waiter.Thresholds{
+			Spin:      opts.SpinThreshold,
+			Yield:     opts.YieldThreshold,
+			TimedPark: opts.TimedParkThreshold,
+		},
 	}
 	// The tree must exist before the first round: newRound sizes the
 	// sharded broadcast channels off the leaf count.
@@ -863,28 +870,16 @@ type waitOutcome struct {
 }
 
 // selectTier is the sleep() best-fit scan (§3.1) over the wait tiers.
+// Without a prediction (warm-up, or a site cut off) it keeps the
+// conventional behaviour: a bounded spin then park, the usual
+// adaptive-mutex policy. Where spinning cannot make progress the spin
+// tier degrades to yielding.
 func (b *Barrier) selectTier(stall time.Duration, havePred bool) Tier {
-	if !havePred {
-		// Warm-up / disabled: conventional behaviour — a bounded spin then
-		// park, the usual adaptive-mutex policy.
-		if !b.spinnable {
-			return TierYield
-		}
-		return TierSpin
-	}
-	switch {
-	case stall <= b.opts.SpinThreshold:
-		if !b.spinnable {
-			return TierYield
-		}
-		return TierSpin
-	case stall <= b.opts.YieldThreshold:
+	t := waiter.Select(stall, havePred, TierSpin, b.thresholds)
+	if t == TierSpin && !b.spinnable {
 		return TierYield
-	case stall <= b.opts.TimedParkThreshold:
-		return TierTimedPark
-	default:
-		return TierPark
 	}
+	return t
 }
 
 // applyCutoff applies the §3.3.3 overprediction threshold: if the predicted
