@@ -16,10 +16,8 @@
 //	thriftybench -all                 # everything (default)
 //	thriftybench -table2 -fig5        # selected experiments
 //	thriftybench -ablation cutoff     # one ablation (cutoff|wakeup|predictor|preempt|…|faults)
-//	thriftybench -scaling             # 64/256/1024-node study on the parallel engine
-//	                                  # (-j also sets the engine's shard count)
-//	thriftybench -core-scaling        # 64/128/256-CPU sharded core-machine study
-//	                                  # (-j 1 = sequential reference engine)
+//	thriftybench -scaling             # 64/256/1024-node message-passing study
+//	thriftybench -core-scaling        # 64/128/256-CPU core-machine study
 //	thriftybench -nodes 16 -seed 7    # smaller machine, different seed
 //	thriftybench -all -out results    # also write text + CSV + JSON files
 //	thriftybench -all -j 1            # sequential (identical output)
@@ -54,8 +52,8 @@ func main() {
 		ablation  = flag.String("ablation", "", "run one ablation: cutoff|wakeup|predictor|preempt|conventional|topology|confidence|dvfs|straggler|faults")
 		sens      = flag.String("sensitivity", "", "run one sweep: nodes|transition|lockcontention|barrierlatency")
 		ext       = flag.String("extension", "", "run one extension experiment: locks|mp")
-		scaling   = flag.Bool("scaling", false, "run the 64/256/1024-node barrier scaling study on the parallel engine")
-		coreScale = flag.Bool("core-scaling", false, "run the 64/128/256-CPU sharded core-machine study (full CC-NUMA simulation)")
+		scaling   = flag.Bool("scaling", false, "run the 64/256/1024-node barrier scaling study on the message-passing cluster")
+		coreScale = flag.Bool("core-scaling", false, "run the 64/128/256-CPU core-machine study (full CC-NUMA simulation)")
 		nodes     = flag.Int("nodes", 64, "machine size (power of two <= 64)")
 		seed      = flag.Uint64("seed", 1, "workload seed")
 		observer  = flag.Int("observer", 11, "Figure 3 observer thread")
@@ -269,31 +267,19 @@ func main() {
 		}
 	}
 	if *all || *scaling {
-		// -j doubles as the parallel engine's shard count here; the scaling
-		// rows are shard-count-invariant by the RunParallel contract, so the
-		// artifacts stay byte-identical across -j like everything else.
 		for _, n := range harness.ScalingPoints {
 			n := n
 			addPost(fmt.Sprintf("scaling_%d.txt", n), fmt.Sprintf("scaling %d", n), func() (string, any) {
-				rows := harness.ScalingExperiment(*seed, n, *jobs)
+				rows := harness.ScalingExperiment(*seed, n, 0)
 				return harness.RenderScaling(n, rows), rows
 			})
 		}
 	}
 	if *all || *coreScale {
-		// Same contract for the sharded core machine: -j sets the engine
-		// shard count (-j 1 selects the plain sequential engine, the golden
-		// reference), and the ParallelMachine's bit-identity guarantee keeps
-		// every artifact — per-CPU digests included — byte-identical across
-		// shard counts.
-		engineShards := *jobs
-		if engineShards == 1 {
-			engineShards = 0
-		}
 		for _, n := range harness.CoreScalingPoints {
 			n := n
 			addPost(fmt.Sprintf("core_scaling_%d.txt", n), fmt.Sprintf("core scaling %d", n), func() (string, any) {
-				rows := harness.CoreScalingExperiment(*seed, n, engineShards)
+				rows := harness.CoreScalingExperiment(*seed, n, 0)
 				return harness.RenderCoreScaling(n, rows), rows
 			})
 		}

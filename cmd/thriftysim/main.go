@@ -57,9 +57,9 @@ func main() {
 		scaling = flag.Int("scaling", 0, "run the message-passing cluster at this node count on the parallel engine and exit")
 		alg     = flag.String("alg", "tree", "barrier collective for -scaling: tree|dissemination")
 		radix   = flag.Int("radix", 0, "combining-tree radix for -scaling (0 = config default)")
-		jobs    = flag.Int("j", 0, "shard count for -scaling/-core-scaling (0 = GOMAXPROCS; 1 = the sequential reference engine)")
+		jobs    = flag.Int("j", 0, "shard count for -scaling (0 = GOMAXPROCS)")
 
-		coreScaling = flag.Int("core-scaling", 0, "run the sharded CC-NUMA core machine at this CPU count and exit")
+		coreScaling = flag.Int("core-scaling", 0, "run the CC-NUMA core-machine scaling study at this CPU count and exit")
 		topology    = flag.String("topology", "flat", "check-in fabric highlighted by -core-scaling: flat|tree|noctree")
 	)
 	flag.Parse()
@@ -75,12 +75,15 @@ func main() {
 	if *scaling > 0 && *coreScaling > 0 {
 		usage("-scaling and -core-scaling are mutually exclusive")
 	}
+	if *jobs < 0 {
+		usage("bad -j %d (want >= 0)", *jobs)
+	}
 	if *scaling > 0 {
 		runScaling(*scaling, *alg, *radix, *jobs, *seed)
 		return
 	}
 	if *coreScaling > 0 {
-		runCoreScaling(*coreScaling, *topology, *jobs, *seed)
+		runCoreScaling(*coreScaling, *topology, *seed)
 		return
 	}
 
@@ -332,14 +335,11 @@ func runScaling(nodes int, alg string, radix, jobs int, seed uint64) {
 }
 
 // runCoreScaling runs the core-machine scaling study — the full CC-NUMA
-// machine (caches, directories, predictor) home-node-partitioned onto
-// the conservative parallel engine — at one CPU count and prints the
-// topology × policy sweep. -j picks the shard count; 1 selects the plain
-// sequential engine, the golden reference the sharded runs must match
-// bit for bit, so a -j 1 vs -j 8 diff of the output (minus the header
-// line) is the determinism check. -topology picks which fabric gets the
-// detailed breakdown; every fabric appears in the table.
-func runCoreScaling(nodes int, topology string, jobs int, seed uint64) {
+// machine (caches, directories, predictor) — at one CPU count through
+// the harness and prints the topology × policy sweep. -topology picks
+// which fabric gets the detailed breakdown; every fabric appears in the
+// table.
+func runCoreScaling(nodes int, topology string, seed uint64) {
 	topo, err := core.ParseTopology(topology)
 	if err != nil {
 		usage("bad -topology: %v", err)
@@ -347,20 +347,9 @@ func runCoreScaling(nodes int, topology string, jobs int, seed uint64) {
 	if nodes < 8 || nodes > 1024 || nodes&(nodes-1) != 0 {
 		usage("bad -core-scaling %d (want a power of two in [8,1024])", nodes)
 	}
-	if jobs < 0 {
-		usage("bad -j %d (want >= 0)", jobs)
-	}
-	shards := jobs
-	if shards == 0 {
-		shards = runtime.GOMAXPROCS(0)
-	}
-	engineShards := shards
-	if shards == 1 {
-		engineShards = 0 // the plain sequential engine: the reference
-	}
 
-	rows := harness.CoreScalingExperiment(seed, nodes, engineShards)
-	fmt.Printf("core scaling: %d CPUs, %d shards (seed %d)\n", nodes, shards, seed)
+	rows := harness.CoreScalingExperiment(seed, nodes, 0)
+	fmt.Printf("core scaling: %d CPUs (seed %d)\n", nodes, seed)
 	detail := map[core.Topology]string{
 		core.TopologyFlat:    "flat",
 		core.TopologyTree:    "tree r=8",

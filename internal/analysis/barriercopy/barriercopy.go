@@ -2,7 +2,7 @@
 // values that are copied: passed by value, assigned from another value,
 // returned by value, or produced as range-loop copies.
 //
-// The thrifty types embed a noCopy marker, so go vet's copylocks check
+// The guarded types embed a noCopy marker, so go vet's copylocks check
 // catches many copies at run-of-vet time — but copylocks only understands
 // sync.Locker-shaped fields, reports at slightly different places, and is
 // easy to leave out of a build pipeline. This analyzer enforces the

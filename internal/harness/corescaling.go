@@ -16,7 +16,7 @@ import (
 // CoreScalingRow is one measurement of the core-machine scaling study:
 // the full CC-NUMA machine (caches, directories, DRAM, predictor) at one
 // CPU count, one check-in topology, and one waiting policy, run on the
-// sharded ParallelMachine. Energy and Time are normalized against the
+// sequential engine. Energy and Time are normalized against the
 // same-topology Baseline; PerCPUDigest hashes every CPU's energy and
 // spin residency bit for bit, so the byte-identical artifact comparison
 // across -j covers per-CPU state, not just aggregates.
@@ -115,11 +115,10 @@ func coreScalingArch(seed uint64, nodes int) core.Arch {
 }
 
 // CoreScalingExperiment sweeps check-in topology × waiting policy at one
-// CPU count on the sharded core machine with the given shard count
-// (shards <= 0 selects the plain sequential engine). The machine's
-// determinism contract makes every row — digest included — independent
-// of shards, which the CI determinism job checks by diffing -j 1 against
-// -j 8 artifacts.
+// CPU count, each run on the sequential engine (the job pool already keeps
+// every core busy). shards is unused, kept for callers that still pass it.
+// Each topology's Baseline run is its Baseline row and normalizes its
+// Thrifty row.
 func CoreScalingExperiment(seed uint64, nodes, shards int) []CoreScalingRow {
 	prog := CoreScalingProgram(seed, nodes, 24)
 	type fabric struct {
@@ -134,41 +133,46 @@ func CoreScalingExperiment(seed uint64, nodes, shards int) []CoreScalingRow {
 	}
 	var rows []CoreScalingRow
 	for _, f := range fabrics {
-		run := func(opts core.Options) core.ParallelResult {
+		var base core.ParallelResult
+		for i, opts := range []core.Options{core.Baseline(), core.Thrifty()} {
 			opts.Topology = f.topo
 			opts.TreeArity = f.arity
 			m, err := core.NewParallelMachine(coreScalingArch(seed, nodes), opts)
 			if err != nil {
 				panic(err) // static sweep configuration; never user input
 			}
-			return m.Run(prog, shards)
-		}
-		base := run(core.Baseline())
-		for _, opts := range []core.Options{core.Baseline(), core.Thrifty()} {
-			res := run(opts)
-			n := res.Breakdown.Normalize(base.Breakdown)
-			total := 0
-			for _, c := range res.Stats.Sleeps {
-				total += c
+			res := m.Run(prog, 0)
+			if i == 0 {
+				base = res
 			}
-			rows = append(rows, CoreScalingRow{
-				Nodes:        nodes,
-				Topology:     f.label,
-				Variant:      opts.Name,
-				Energy:       n.TotalEnergy(),
-				Time:         n.SpanRatio,
-				Span:         res.Span,
-				Sleeps:       total,
-				EarlyWakes:   res.Stats.EarlyWakes,
-				External:     res.Stats.ExternalWakes,
-				LateWakes:    res.Stats.LateWakes,
-				Disables:     res.Stats.Disables,
-				Events:       res.Events,
-				PerCPUDigest: perCPUDigest(res),
-			})
+			rows = append(rows, coreScalingRow(nodes, f.label, opts.Name, res, base))
 		}
 	}
 	return rows
+}
+
+// coreScalingRow is res's row, normalized against base.
+func coreScalingRow(nodes int, topology, variant string, res, base core.ParallelResult) CoreScalingRow {
+	n := res.Breakdown.Normalize(base.Breakdown)
+	total := 0
+	for _, c := range res.Stats.Sleeps {
+		total += c
+	}
+	return CoreScalingRow{
+		Nodes:        nodes,
+		Topology:     topology,
+		Variant:      variant,
+		Energy:       n.TotalEnergy(),
+		Time:         n.SpanRatio,
+		Span:         res.Span,
+		Sleeps:       total,
+		EarlyWakes:   res.Stats.EarlyWakes,
+		External:     res.Stats.ExternalWakes,
+		LateWakes:    res.Stats.LateWakes,
+		Disables:     res.Stats.Disables,
+		Events:       res.Events,
+		PerCPUDigest: perCPUDigest(res),
+	}
 }
 
 // perCPUDigest folds every CPU's energy and spin residency into one

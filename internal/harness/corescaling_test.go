@@ -3,21 +3,54 @@ package harness
 import (
 	"math"
 	"testing"
+
+	"thriftybarrier/internal/core"
 )
 
-// The experiment's rows — per-CPU digests included — must be invariant
-// to the shard count: the same property the CI determinism job checks on
-// the committed artifacts, pinned here at the 64-CPU point.
+// TestCoreScalingShardInvariant pins the harness rows at 64 CPUs, which
+// come from the sequential engine, against rows built from explicitly
+// sharded runs at 1 and 8 shards: the machine's bit-identity contract
+// makes every field, per-CPU digests included, independent of the engine.
+// Each Baseline row must also be self-normalized — Time exactly 1, Energy
+// within rounding of 1, since it sums per-state ratios — and carry the
+// digest of an independent Baseline run.
 func TestCoreScalingShardInvariant(t *testing.T) {
-	ref := CoreScalingExperiment(1, 64, 0)
-	if len(ref) != 6 {
-		t.Fatalf("got %d rows, want 6 (3 topologies x 2 variants)", len(ref))
+	const seed, nodes = 1, 64
+	rows := CoreScalingExperiment(seed, nodes, 0)
+	prog := CoreScalingProgram(seed, nodes, 24)
+	fabrics := []struct {
+		label string
+		topo  core.Topology
+		arity int
+	}{
+		{"flat", core.TopologyFlat, 0},
+		{"tree r=8", core.TopologyTree, coreScalingTreeArity},
+		{"noc tree", core.TopologyNoCTree, 0},
+	}
+	if len(rows) != 2*len(fabrics) {
+		t.Fatalf("got %d rows, want %d (3 topologies x 2 variants)", len(rows), 2*len(fabrics))
 	}
 	for _, shards := range []int{1, 8} {
-		got := CoreScalingExperiment(1, 64, shards)
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Errorf("shards=%d row %d diverged:\n got %+v\nwant %+v", shards, i, got[i], ref[i])
+		for i, f := range fabrics {
+			run := func(opts core.Options) core.ParallelResult {
+				opts.Topology = f.topo
+				opts.TreeArity = f.arity
+				m, err := core.NewParallelMachine(coreScalingArch(seed, nodes), opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m.Run(prog, shards)
+			}
+			base, thrifty := run(core.Baseline()), run(core.Thrifty())
+			want := [2]CoreScalingRow{
+				coreScalingRow(nodes, f.label, "Baseline", base, base),
+				coreScalingRow(nodes, f.label, "Thrifty", thrifty, base),
+			}
+			if got := [2]CoreScalingRow(rows[2*i : 2*i+2]); got != want {
+				t.Errorf("%s: harness rows differ from %d-shard runs:\n got %+v\nwant %+v", f.label, shards, got, want)
+			}
+			if b := rows[2*i]; math.Abs(b.Energy-1) > 1e-15 || b.Time != 1 || b.PerCPUDigest != perCPUDigest(base) {
+				t.Errorf("%s: baseline row %+v is not the self-normalized %d-shard Baseline run", f.label, b, shards)
 			}
 		}
 	}

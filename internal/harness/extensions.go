@@ -147,10 +147,13 @@ type LockRow struct {
 // moderate contention.
 func LockExperiment(seed uint64) (saturated, moderate []LockRow) {
 	run := func(cfg locks.Config) []LockRow {
-		base := locks.NewMachine(cfg, locks.SpinLock()).Run()
+		var base locks.Result
 		var rows []LockRow
-		for _, opts := range []locks.Options{locks.SpinLock(), locks.ThriftyLock(), locks.NaiveLock(), locks.OracleLock()} {
+		for i, opts := range []locks.Options{locks.SpinLock(), locks.ThriftyLock(), locks.NaiveLock(), locks.OracleLock()} {
 			res := locks.NewMachine(cfg, opts).Run()
+			if i == 0 {
+				base = res // SpinLock normalizes itself and the rest
+			}
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, LockRow{
 				Variant: opts.Name,
@@ -209,9 +212,12 @@ func MPExperiment(seed uint64) []MPRow {
 	for _, alg := range []mp.Algorithm{mp.TreeBarrier, mp.DisseminationBarrier} {
 		c := cfg
 		c.Algorithm = alg
-		base := mp.MustNewMachine(c, mp.Baseline()).RunParallel(prog, 1)
-		for _, opts := range []mp.Options{mp.Baseline(), mp.Thrifty(), mp.Oracle()} {
+		var base mp.ParallelResult
+		for i, opts := range []mp.Options{mp.Baseline(), mp.Thrifty(), mp.Oracle()} {
 			res := mp.MustNewMachine(c, opts).RunParallel(prog, 1)
+			if i == 0 {
+				base = res // MP-Baseline normalizes itself and the rest
+			}
 			n := res.Breakdown.Normalize(base.Breakdown)
 			rows = append(rows, MPRow{
 				Variant: opts.Name + " (" + alg.String() + ")",

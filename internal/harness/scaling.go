@@ -12,8 +12,8 @@ import (
 )
 
 // ScalingRow is one measurement of the many-core scaling study: a barrier
-// collective at one machine size under one waiting policy, run on the
-// parallel engine. Energy and Time are normalized against the
+// collective at one machine size under one waiting policy, run on one
+// shard of the parallel engine. Energy and Time are normalized against the
 // same-collective baseline (so each collective's thrifty savings are read
 // off directly); PerNodeDigest hashes every rank's energy and spin time, so
 // the byte-identical artifact comparison across -j covers per-node stats,
@@ -62,10 +62,10 @@ func ScalingProgram(seed uint64, nodes, phases int) mp.Program {
 }
 
 // ScalingExperiment sweeps the barrier collectives — combining trees of
-// radix 2/4/8/16 and dissemination — at one machine size on the parallel
-// engine with the given shard count. RunParallel's determinism contract
-// makes the rows (digest included) independent of shards, which the CI
-// determinism job checks by diffing -j 1 against -j 8 artifacts.
+// radix 2/4/8/16 and dissemination — at one machine size, each run on one
+// engine shard (the job pool already keeps every core busy). shards is
+// unused, kept for callers that still pass it. Each collective's Baseline
+// run is its Baseline row and normalizes its Thrifty row.
 func ScalingExperiment(seed uint64, nodes, shards int) []ScalingRow {
 	cfg := mp.DefaultConfig()
 	cfg.Nodes = nodes
@@ -88,23 +88,31 @@ func ScalingExperiment(seed uint64, nodes, shards int) []ScalingRow {
 		cc := cfg
 		cc.Algorithm = c.alg
 		cc.Fanout = c.fanout
-		base := mp.MustNewMachine(cc, mp.Baseline()).RunParallel(prog, shards)
-		for _, opts := range []mp.Options{mp.Baseline(), mp.Thrifty()} {
-			res := mp.MustNewMachine(cc, opts).RunParallel(prog, shards)
-			n := res.Breakdown.Normalize(base.Breakdown)
-			rows = append(rows, ScalingRow{
-				Nodes:         nodes,
-				Collective:    c.label,
-				Variant:       opts.Name,
-				Energy:        n.TotalEnergy(),
-				Time:          n.SpanRatio,
-				Round:         res.MeanRoundLatency(),
-				Stats:         res.Stats,
-				PerNodeDigest: perNodeDigest(res),
-			})
+		var base mp.ParallelResult
+		for i, opts := range []mp.Options{mp.Baseline(), mp.Thrifty()} {
+			res := mp.MustNewMachine(cc, opts).RunParallel(prog, 1)
+			if i == 0 {
+				base = res
+			}
+			rows = append(rows, scalingRow(nodes, c.label, opts.Name, res, base))
 		}
 	}
 	return rows
+}
+
+// scalingRow is res's row, normalized against base.
+func scalingRow(nodes int, collective, variant string, res, base mp.ParallelResult) ScalingRow {
+	n := res.Breakdown.Normalize(base.Breakdown)
+	return ScalingRow{
+		Nodes:         nodes,
+		Collective:    collective,
+		Variant:       variant,
+		Energy:        n.TotalEnergy(),
+		Time:          n.SpanRatio,
+		Round:         res.MeanRoundLatency(),
+		Stats:         res.Stats,
+		PerNodeDigest: perNodeDigest(res),
+	}
 }
 
 // perNodeDigest folds every rank's energy and spin time into one hash, in
