@@ -4,8 +4,9 @@
 // four clients — separate processes in a real deployment, goroutines
 // here — rendezvous on a named barrier over the framed protocol. The
 // server runs the paper's §3.2 last-value interval prediction per
-// barrier and answers each registration with a sleep directive (the
-// Table 3 tier ladder over the wire): the client is told whether to
+// barrier and answers each early arrival with a sleep directive (the
+// Table 3 tier ladder over the wire), and the last with the release
+// itself: the client is told whether to
 // spin, yield, timed-park or park, for how long, and at what poll
 // cadence, so remote CPUs save the same energy local waiters do. One
 // rotating straggler gives the predictor a stable ~25ms interval to

@@ -176,6 +176,7 @@ type prun struct {
 
 	epMu     sync.Mutex
 	episodes map[int]*episode
+	free     []*episode // finished episodes whose slices newEpisode reuses
 
 	// Per-shard accumulators, merged after the run; sums are invariant to
 	// which shard an increment landed on.
@@ -270,19 +271,39 @@ func (p *prun) episodeFor(k int) *episode {
 	defer p.epMu.Unlock()
 	ep := p.episodes[k]
 	if ep == nil {
-		n := p.m.cfg.Nodes
+		ep = p.newEpisode(k)
+		p.episodes[k] = ep
+	}
+	return ep
+}
+
+// newEpisode readies the episode of phase k, reusing a finished
+// episode's slices when there is one. No rank arrives at phase k+2
+// before every rank has left phase k, so at most two episodes are live
+// and a run allocates at most three sets of slices instead of one per
+// phase. Caller holds epMu.
+func (p *prun) newEpisode(k int) *episode {
+	n := p.m.cfg.Nodes
+	var ep *episode
+	if last := len(p.free) - 1; last >= 0 {
+		ep = p.free[last]
+		p.free = p.free[:last]
+		ep.arrived.Store(0)
+		ep.departed.Store(0)
+		clear(ep.subtreeAt)
+		clear(ep.arrivalAt)
+		clear(ep.ws)
+	} else {
 		ep = &episode{
-			phase:     k,
-			pc:        p.prog[k].PC,
 			subtreeAt: make([]sim.Cycles, n),
 			pending:   make([]int32, n),
 			arrivalAt: make([]sim.Cycles, n),
 			ws:        make([]waiter, n),
 		}
-		for r := 0; r < n; r++ {
-			ep.pending[r] = int32(len(p.m.children[r]) + 1)
-		}
-		p.episodes[k] = ep
+	}
+	ep.phase, ep.pc = k, p.prog[k].PC
+	for r := 0; r < n; r++ {
+		ep.pending[r] = int32(len(p.m.children[r]) + 1)
 	}
 	return ep
 }
@@ -557,10 +578,14 @@ func (p *prun) depart(ep *episode, r int, w *waiter, dep, release, bit, recvAt s
 			p.stats[p.owner[r]].Disables++
 		}
 	}
+	// Read before the count: once the last rank has departed, the
+	// episode may be recycled for a later phase.
+	next := ep.phase + 1
 	if ep.departed.Add(1) == int32(p.m.cfg.Nodes) {
 		p.epMu.Lock()
 		delete(p.episodes, ep.phase)
+		p.free = append(p.free, ep)
 		p.epMu.Unlock()
 	}
-	p.startPhase(r, ep.phase+1, dep)
+	p.startPhase(r, next, dep)
 }

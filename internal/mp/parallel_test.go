@@ -191,6 +191,26 @@ func TestRunParallel1024Nodes(t *testing.T) {
 	}
 }
 
+// A run makes at most three episodes whatever its phase count: a
+// finished episode is recycled for a later phase. Sharded runs recycle
+// across shards, which the race detector checks in CI.
+func TestRunParallelReusesEpisodes(t *testing.T) {
+	prog := jitterProgram(0x200, 32, 100_000)
+	for _, cfg := range []Config{testConfig(64), dissemConfig(64)} {
+		want := MustNewMachine(cfg, Thrifty()).RunParallel(prog, 1)
+		for _, shards := range []int{1, 8} {
+			p := MustNewMachine(cfg, Thrifty()).run(prog, shards)
+			if len(p.episodes) != 0 || len(p.free) > 3 {
+				t.Fatalf("%v, %d shards: %d episodes open and %d made, want 0 and at most 3",
+					cfg.Algorithm, shards, len(p.episodes), len(p.free))
+			}
+			if got := p.result(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%v, %d shards: result moved from the single-shard run", cfg.Algorithm, shards)
+			}
+		}
+	}
+}
+
 // TestRunParallelShardClamp checks out-of-range shard counts are clamped
 // rather than rejected: -j larger than the node count must still run.
 func TestRunParallelShardClamp(t *testing.T) {

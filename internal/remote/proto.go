@@ -1,8 +1,9 @@
 // Package remote carries the thrifty barrier across process and network
 // boundaries: a framed length-prefixed protocol, a fault-tolerant server
 // (cmd/thriftyd) that runs the §3.2 BIT prediction per (client, barrier)
-// and answers each registration with a sleep directive — the paper's
-// Table 3 tier decision carried over the wire — and the lease, reconnect
+// and answers each early arrival with a sleep directive — the paper's
+// Table 3 tier decision carried over the wire — and the arrival that
+// completes the epoch with the release, and the lease, reconnect
 // and broken-epoch machinery that makes the §3.3 failure semantics
 // survive a real network.
 //
@@ -36,8 +37,10 @@ const (
 	// with a non-zero epoch — resumes a previous arrival after a
 	// reconnect.
 	FrameRegister byte = iota + 1
-	// FrameDirective (server → client) answers a registration: the
-	// assigned (epoch, generation) resume token and the sleep directive.
+	// FrameDirective (server → client) answers a registration that does
+	// not complete its epoch: the assigned (epoch, generation) resume
+	// token and the sleep directive. The completing registration is
+	// answered with the release frame alone.
 	FrameDirective
 	// FrameHeartbeat (client → server) renews the client's lease.
 	FrameHeartbeat

@@ -55,7 +55,8 @@ type Options struct {
 	// FanoutRadix shards the release broadcast: arrivals are grouped into
 	// leaves of this width (registration order) and each leaf's frames
 	// are written by one goroutine — the wire form of the sharded
-	// leaf-broadcast release. Default 8.
+	// leaf-broadcast release. An epoch that fits in one leaf is written
+	// by the releasing connection itself. Default 8.
 	FanoutRadix int
 
 	// StallMultiple × the predicted barrier interval (floored at
@@ -162,9 +163,9 @@ const registryShards = 16
 // Server is the thriftyd core: a registry of named barriers — lock-free
 // lookup on every frame, one mutex per barrier instead of a map-wide
 // shard lock — each running per-(client, barrier) BIT prediction and
-// answering arrivals with sleep directives, with lease-based failure
-// detection and broken-epoch fan-out. Safe for concurrent use; serve it
-// on any number of listeners.
+// answering early arrivals with sleep directives and the last with the
+// release, with lease-based failure detection and broken-epoch fan-out.
+// Safe for concurrent use; serve it on any number of listeners.
 type Server struct {
 	opts     Options
 	barriers *registry.Registry[*barrierState]
@@ -340,16 +341,31 @@ type session struct {
 	regs map[string]string // barrier → clientID bound through this conn
 }
 
-// send writes one frame, bounded by a lease-wide write deadline so a
-// wedged peer cannot stall the server. Errors close the connection; the
-// client's reconnect path owns recovery.
+// send writes one frame within half a lease.
 func (t *session) send(payload []byte) {
+	t.sendBy(payload, t.srv.writeDeadline())
+}
+
+// sendBy writes one frame, failing it at deadline so a wedged peer cannot
+// stall the server. Errors close the connection; the client's reconnect
+// path owns recovery.
+func (t *session) sendBy(payload []byte, deadline time.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
-	t.conn.SetWriteDeadline(t.srv.opts.Now().Add(t.srv.opts.Lease))
+	t.conn.SetWriteDeadline(deadline)
 	if err := WriteFrame(t.conn, payload); err != nil {
 		t.conn.Close()
 	}
+}
+
+// writeDeadline bounds a frame write started now at half the lease. A
+// connection's reader may write to a peer's session (the one-leaf
+// release), and a writer blocked on a peer that never reads holds that
+// session's write lock until its deadline, so half a lease keeps the
+// reader's stall — and the heartbeats queued behind it — inside the
+// lease of the client it serves.
+func (s *Server) writeDeadline() time.Time {
+	return s.opts.Now().Add(s.opts.Lease / 2)
 }
 
 func (t *session) track(barrier, clientID string) {
@@ -450,10 +466,12 @@ func (s *Server) unbind(sess *session) {
 
 // handleRegister is the arrival path: a lock-free registry resolve (or a
 // per-shard-serialized create on first sight of the name), then all
-// state decisions under the barrier's own lock. The directive is also
-// sent under it (through the session's own write lock) so every
-// connection observes its directive before the epoch's release frame,
-// and the release fan-out itself runs after unlock.
+// state decisions under the barrier's own lock, and every frame write
+// after unlock. An early arrival is answered with its sleep directive.
+// The arrival that completes the epoch predicts nothing and sleeps in no
+// tier, as the paper's last arriver, whose flag-flip write is the
+// release (§3.3.1): its answer is the release frame, which the client
+// takes as an outcome that came before any directive.
 func (s *Server) handleRegister(sess *session, f Register) {
 	if f.ClientID == "" || f.Barrier == "" || f.Parties == 0 {
 		ef := ErrorFrame{Code: ErrCodeBadFrame, Barrier: f.Barrier,
@@ -529,21 +547,19 @@ func (s *Server) handleRegister(sess *session, f Register) {
 	bs.nonces[f.ClientID] = nonceRec{nonce: f.Nonce, epoch: bs.epoch}
 	s.registrations.Add(1)
 
+	if uint32(len(bs.arrivals)) == bs.parties {
+		sends := s.releaseLocked(bs, now)
+		bs.mu.Unlock()
+		s.release(sends)
+		return
+	}
 	dir := s.directiveFor(bs, f.ClientID, f.Nonce, now)
 	a.directive = dir.Encode()
-
-	var fanout []send
-	if uint32(len(bs.arrivals)) == bs.parties {
-		fanout = s.releaseLocked(bs, now)
-	}
 	payload := a.directive
 	bs.mu.Unlock()
 
 	sess.track(f.Barrier, f.ClientID)
 	sess.send(payload)
-	if fanout != nil {
-		s.fanOut(fanout)
-	}
 }
 
 // directiveFor runs the §3.2→Table 3 pipeline for one waiter: predict
@@ -698,7 +714,25 @@ func (s *Server) recordHistory(bs *barrierState, payload []byte) {
 	}
 }
 
-// fanOut transmits the release frames leaf by leaf: arrivals grouped in
+// release transmits a completed epoch's frames. When they fit in one
+// leaf, the releasing connection writes them itself, in registration
+// order, so every peer's frame leaves before the releaser's own and no
+// goroutine hand-off sits between the release and the wire. The writes
+// share one deadline half a lease out, so a peer that never reads holds
+// this connection's reader for about half a lease at most, well inside
+// the lease. Wider epochs fan out one goroutine per leaf.
+func (s *Server) release(sends []send) {
+	if len(sends) > s.opts.FanoutRadix {
+		s.fanOut(sends)
+		return
+	}
+	deadline := s.writeDeadline()
+	for _, snd := range sends {
+		snd.sess.sendBy(snd.payload, deadline)
+	}
+}
+
+// fanOut transmits frames leaf by leaf: arrivals grouped in
 // registration order into leaves of FanoutRadix, one writer goroutine
 // per leaf — the sharded leaf-broadcast discipline carried to the wire.
 func (s *Server) fanOut(sends []send) {

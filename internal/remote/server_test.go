@@ -1,10 +1,12 @@
 package remote_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -403,11 +405,13 @@ func TestStallWatchdogAdvises(t *testing.T) {
 // the predictor panicked with the lock held (a connection that had
 // registered on the barrier before then deadlocked re-taking the lock in
 // its teardown; a fresh one takes the process down). The injected clock
-// orders the two
-// registrations: the first registrant's clock read is held until the
-// peer has been answered. It is held only while the barrier does not
-// exist yet — once it does, the read is inside the barrier's critical
-// section, and holding it there would block the peer for good.
+// orders the two registrations: the first registrant's clock read is
+// held until the peer has been answered. It is held only while the
+// barrier does not exist yet — once it does, the read is inside the
+// barrier's critical section, and holding it there would block the peer
+// for good. Both connections are drained concurrently: the releasing
+// arrival's connection writes its peer's release before its own, and a
+// synchronous pipe blocks that write until the peer's end is read.
 func TestRegisterClockReadUnderLock(t *testing.T) {
 	var (
 		mu      sync.Mutex
@@ -455,25 +459,301 @@ func TestRegisterClockReadUnderLock(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	expect := func(conn net.Conn, id string, kind byte) {
-		p, err := remote.ReadFrame(conn)
-		if err != nil {
-			t.Fatalf("%s: waiting for frame %d: %v (server wedged?)", id, kind, err)
-		}
-		if p[0] != kind {
-			t.Fatalf("%s: got frame %d, want %d", id, p[0], kind)
-		}
-	}
 
 	a := dial()
 	go register(a, "A")
 	<-aRead
 	b := dial()
 	register(b, "B")
-	expect(b, "B", remote.FrameDirective)
-	close(bServed)
-	// The release fan-out writes to A first, so drain A before B.
-	expect(a, "A", remote.FrameDirective)
-	expect(a, "A", remote.FrameRelease)
-	expect(b, "B", remote.FrameRelease)
+	var served sync.Once
+	framesA := drainUntilRelease(a, nil)
+	framesB := drainUntilRelease(b, func() { served.Do(func() { close(bServed) }) })
+	expectFrames(t, "A", <-framesA, remote.FrameDirective, remote.FrameRelease)
+	expectFrames(t, "B", <-framesB, remote.FrameRelease)
+}
+
+// drainUntilRelease reads conn on its own goroutine until a release
+// frame, a read error or a deadline ends it, calling first (when non-nil)
+// after the first frame, and delivers the frame kinds it read. A read
+// error is delivered as kind 0.
+func drainUntilRelease(conn net.Conn, first func()) <-chan []byte {
+	out := make(chan []byte, 1)
+	go func() {
+		var kinds []byte
+		defer func() { out <- kinds }()
+		for {
+			p, err := remote.ReadFrame(conn)
+			if err != nil {
+				kinds = append(kinds, 0)
+				return
+			}
+			kinds = append(kinds, p[0])
+			if len(kinds) == 1 && first != nil {
+				first()
+			}
+			if p[0] == remote.FrameRelease {
+				return
+			}
+		}
+	}()
+	return out
+}
+
+// expectFrames fails t unless got is exactly the frame kinds want.
+func expectFrames(t *testing.T, who string, got []byte, want ...byte) {
+	t.Helper()
+	if string(got) != string(want) {
+		t.Fatalf("%s read frame kinds %v, want %v (0 = read error: server wedged?)", who, got, want)
+	}
+}
+
+// tapConn records every byte a client reads from and writes to its
+// connection, so a test can see the frames the server answered with and
+// replay the frames the client sent.
+type tapConn struct {
+	net.Conn
+	mu          sync.Mutex
+	read, wrote []byte
+}
+
+func (c *tapConn) Read(b []byte) (int, error) {
+	n, err := c.Conn.Read(b)
+	c.mu.Lock()
+	c.read = append(c.read, b[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+func (c *tapConn) Write(b []byte) (int, error) {
+	n, err := c.Conn.Write(b)
+	c.mu.Lock()
+	c.wrote = append(c.wrote, b[:n]...)
+	c.mu.Unlock()
+	return n, err
+}
+
+// frames splits a tapped byte stream into frame payloads.
+func frames(t *testing.T, stream []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	r := bytes.NewReader(stream)
+	for r.Len() > 0 {
+		p, err := remote.ReadFrame(r)
+		if err != nil {
+			t.Fatalf("tapped stream: %v", err)
+		}
+		out = append(out, p)
+	}
+	return out
+}
+
+// awaitArrived blocks until barrier has at least n arrivals counted in
+// its open epoch.
+func awaitArrived(t *testing.T, srv *remote.Server, barrier string, n uint32) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		for _, row := range srv.Snapshot() {
+			if row.Name == barrier && row.Arrived >= n {
+				return
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("barrier %q never reached %d arrivals", barrier, n)
+		}
+		runtime.Gosched()
+	}
+}
+
+// The arrival that completes an epoch is answered with the release
+// alone: no directive, so no wait tier it could never need. Each early
+// arrival gets its directive, then the release; the releaser's Wait
+// returns nil on the release; and a register the releaser retransmits
+// afterwards is answered from the history, never counted again.
+func TestReleaserGetsOnlyItsRelease(t *testing.T) {
+	srv, l := startServer(t, remote.Options{Lease: 5 * time.Second})
+	const parties = 3
+
+	var peers []<-chan []byte
+	for i := 0; i < parties-1; i++ {
+		conn, err := l.Dial(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		reg := remote.Register{ClientID: fmt.Sprintf("p%d", i), Barrier: "b", Parties: parties, Nonce: 1}
+		if err := remote.WriteFrame(conn, reg.Encode()); err != nil {
+			t.Fatal(err)
+		}
+		peers = append(peers, drainUntilRelease(conn, nil))
+		awaitArrived(t, srv, "b", uint32(i+1))
+	}
+
+	tap := make(chan *tapConn, 1)
+	c, err := client.New(client.Options{
+		ClientID: "releaser",
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			conn, err := l.Dial(ctx)
+			if err != nil {
+				return nil, err
+			}
+			tc := &tapConn{Conn: conn}
+			tap <- tc
+			return tc, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if err := c.Wait(context.Background(), "b", parties); err != nil {
+		t.Fatalf("releaser's Wait: %v", err)
+	}
+	for i, ch := range peers {
+		expectFrames(t, fmt.Sprintf("p%d", i), <-ch, remote.FrameDirective, remote.FrameRelease)
+	}
+	// The server answers a status request on the releaser's connection
+	// after every frame it wrote there before, so the status frame marks
+	// the end of the releaser's answer.
+	if _, err := c.Status(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tc := <-tap
+	tc.mu.Lock()
+	got, sent := frames(t, tc.read), frames(t, tc.wrote)
+	tc.mu.Unlock()
+	if len(got) != 2 || got[0][0] != remote.FrameRelease || got[1][0] != remote.FrameStatus {
+		kinds := make([]byte, len(got))
+		for i, p := range got {
+			kinds[i] = p[0]
+		}
+		t.Fatalf("releaser read frame kinds %v, want [release status]", kinds)
+	}
+	rel, err := remote.DecodeRelease(got[0])
+	if err != nil || rel.Broken || rel.Epoch != 1 || rel.Arrived != parties {
+		t.Fatalf("releaser's release %+v, %v", rel, err)
+	}
+
+	// Retransmit the releaser's register, as a reconnect after a lost
+	// release would.
+	var reg []byte
+	for _, p := range sent {
+		if p[0] == remote.FrameRegister {
+			reg = p
+			break
+		}
+	}
+	if reg == nil {
+		t.Fatal("the releaser sent no register")
+	}
+	before := srv.Stats()
+	conn, err := l.Dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if err := remote.WriteFrame(conn, reg); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := remote.ReadFrame(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(replay, got[0]) {
+		t.Fatalf("retransmit answered with %v, want the recorded release %v", replay, got[0])
+	}
+	after := srv.Stats()
+	if after.Replays != before.Replays+1 {
+		t.Fatalf("replays %d -> %d, want one more", before.Replays, after.Replays)
+	}
+	if after.Registrations != parties || after.DupRegistrations != 0 || after.Releases != 1 {
+		t.Fatalf("stats %+v: the retransmit was counted", after)
+	}
+}
+
+// A peer that never reads its end of the connection stalls the
+// releasing connection's reader, which writes that peer's release
+// inline, for about half a lease at most: the other peers in its leaf still
+// get their release, other barriers keep releasing meanwhile, and the
+// releasing client keeps the lease on a barrier it is still waiting on.
+func TestWedgedPeerStallsReleaserUnderLease(t *testing.T) {
+	const lease = 600 * time.Millisecond
+	srv, l := startServer(t, remote.Options{Lease: lease, StallFloor: time.Hour})
+	opts := client.Options{Lease: lease}
+	rel := newClient(t, l, "releaser", opts)
+	peer := newClient(t, l, "peer", opts)
+
+	// The releaser first waits on "z", whose second party comes last.
+	zDone := make(chan error, 1)
+	go func() { zDone <- rel.Wait(context.Background(), "z", 2) }()
+	awaitArrived(t, srv, "z", 1)
+
+	// The wedged peer registers raw on "x" and never reads.
+	wedged, err := l.Dial(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wedged.Close()
+	reg := remote.Register{ClientID: "wedged", Barrier: "x", Parties: 3, Nonce: 1}
+	if err := remote.WriteFrame(wedged, reg.Encode()); err != nil {
+		t.Fatal(err)
+	}
+	awaitArrived(t, srv, "x", 1)
+	peerDone := make(chan error, 1)
+	go func() { peerDone <- peer.Wait(context.Background(), "x", 3) }()
+	awaitArrived(t, srv, "x", 2)
+
+	// The releaser completes "x"; its connection's reader now writes the
+	// wedged peer's release first.
+	released := srv.Stats().Releases
+	start := time.Now()
+	relDone := make(chan error, 1)
+	go func() { relDone <- rel.Wait(context.Background(), "x", 3) }()
+	for srv.Stats().Releases == released {
+		runtime.Gosched()
+	}
+
+	// Other connections keep releasing.
+	c1 := newClient(t, l, "c1", opts)
+	c2 := newClient(t, l, "c2", opts)
+	var wg sync.WaitGroup
+	for _, c := range []*client.Client{c1, c2} {
+		wg.Add(1)
+		go func(c *client.Client) {
+			defer wg.Done()
+			for r := 0; r < 10; r++ {
+				if err := c.Wait(context.Background(), "y", 2); err != nil {
+					t.Errorf("round %d on y: %v", r, err)
+					return
+				}
+			}
+		}(c)
+	}
+	wg.Wait()
+
+	if err := <-peerDone; err != nil {
+		t.Fatalf("the wedged peer's leaf-mate: %v", err)
+	}
+	if err := <-relDone; err != nil {
+		t.Fatalf("the releaser: %v", err)
+	}
+	if d := time.Since(start); d >= lease {
+		t.Fatalf("the releaser's answer took %v, want under the %v lease", d, lease)
+	}
+	if _, err := rel.Status(context.Background()); err != nil {
+		t.Fatalf("the releaser's connection did not resume: %v", err)
+	}
+
+	last := newClient(t, l, "last", opts)
+	if err := last.Wait(context.Background(), "z", 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-zDone; err != nil {
+		t.Fatalf("the releaser's wait on z: %v", err)
+	}
+	if st := srv.Stats(); st.Breaks != 0 || st.LeaseBreaks != 0 {
+		t.Fatalf("stats %+v: a lease broke", st)
+	}
 }

@@ -9,7 +9,8 @@
 // The client is built for a faulty transport. Every wait attempt carries
 // a nonce the server keys its double-count guard on, so registers can be
 // retransmitted freely: across silent frame drops (the register is
-// re-sent until its directive arrives), across reconnects (a background
+// re-sent until its directive or, for the arrival that completes the
+// epoch, its release arrives), across reconnects (a background
 // redial re-registers every pending waiter with its original nonce), and
 // across the release itself (a duplicate register is answered with the
 // recorded outcome, never counted again). Reconnect backoff is
@@ -247,7 +248,8 @@ func (c *Client) Close() error {
 // for the peers — the WaitContext contract), or the client closes
 // (ErrClosed). How it blocks is the server's call: the registration's
 // directive picks the spin/yield/timed-park/park tier from the predicted
-// stall, and the client honors it locally.
+// stall, and the client honors it locally. The arrival that completes the
+// epoch gets no directive: the server answers it with the release.
 func (c *Client) Wait(ctx context.Context, barrier string, parties int) error {
 	if err := ctx.Err(); err != nil {
 		return err // cancelled before arrival: nothing to join or break
@@ -259,9 +261,11 @@ func (c *Client) Wait(ctx context.Context, barrier string, parties int) error {
 	defer c.removeWaiter(w)
 
 	// The transport may silently drop any frame, so "sent" proves nothing
-	// — only the directive does: the registration is re-sent on the
-	// backoff schedule until the directive (or an outcome replayed before
-	// it) lands. The nonce makes the retransmits harmless.
+	// — only an answer does: the registration is re-sent on the backoff
+	// schedule until the directive or an outcome lands. The outcome comes
+	// first when this arrival completed the epoch (the server answers it
+	// with the release alone) or when it is replayed from the history. The
+	// nonce makes the retransmits harmless.
 	reg := waiter.Wait{Release: w.dirCh, Cancel: ctx.Done()}
 	o := c.retransmit(ctx, w, &reg, waiter.Expired, c.backoff)
 	if o == waiter.Released && w.directive != nil { // settled once dirCh closed
