@@ -33,7 +33,7 @@ func main() {
 		listen    = flag.String("listen", "127.0.0.1:7474", "TCP address to serve on")
 		lease     = flag.Duration("lease", 5*time.Second, "client lease: silence past this breaks the client's in-flight epochs")
 		maxEpochs = flag.Int("max-epochs", 0, "open-epoch watermark before directives are widened to shed load (0 = never)")
-		radix     = flag.Int("radix", 8, "release fan-out leaf width; an epoch that fits in one leaf is written by the releasing connection")
+		radix     = flag.Int("radix", 8, "release fan-out leaf width; the releasing connection writes the last leaf, so an epoch that fits in one leaf takes no goroutine")
 		stall     = flag.Duration("stall-floor", 2*time.Second, "minimum stall-watchdog deadline")
 		verbose   = flag.Bool("v", false, "log per-connection and per-epoch diagnostics")
 	)

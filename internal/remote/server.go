@@ -55,8 +55,9 @@ type Options struct {
 	// FanoutRadix shards the release broadcast: arrivals are grouped into
 	// leaves of this width (registration order) and each leaf's frames
 	// are written by one goroutine — the wire form of the sharded
-	// leaf-broadcast release. An epoch that fits in one leaf is written
-	// by the releasing connection itself. Default 8.
+	// leaf-broadcast release. The leaf that ends with the releasing
+	// arrival is written by the releasing connection itself, so an epoch
+	// that fits in one leaf takes no goroutine. Default 8.
 	FanoutRadix int
 
 	// StallMultiple × the predicted barrier interval (floored at
@@ -341,29 +342,40 @@ type session struct {
 	regs map[string]string // barrier → clientID bound through this conn
 }
 
-// send writes one frame within half a lease.
+// send writes one frame within writeDeadline.
 func (t *session) send(payload []byte) {
 	t.sendBy(payload, t.srv.writeDeadline())
 }
 
-// sendBy writes one frame, failing it at deadline so a wedged peer cannot
-// stall the server. Errors close the connection; the client's reconnect
-// path owns recovery.
+// sendUnlocking writes one frame after it unlocks mu, taking the write
+// lock first: a frame that a later holder of mu writes here — the
+// epoch's release after a directive — cannot overtake it.
+func (t *session) sendUnlocking(mu *sync.Mutex, payload []byte) {
+	t.wmu.Lock()
+	mu.Unlock()
+	defer t.wmu.Unlock()
+	t.writeLocked(payload, t.srv.writeDeadline())
+}
+
 func (t *session) sendBy(payload []byte, deadline time.Time) {
 	t.wmu.Lock()
 	defer t.wmu.Unlock()
+	t.writeLocked(payload, deadline)
+}
+
+// writeLocked writes one frame, failing it at deadline so a wedged peer
+// cannot stall the server. Errors close the connection; the client's
+// reconnect path owns recovery. Caller holds wmu.
+func (t *session) writeLocked(payload []byte, deadline time.Time) {
 	t.conn.SetWriteDeadline(deadline)
 	if err := WriteFrame(t.conn, payload); err != nil {
 		t.conn.Close()
 	}
 }
 
-// writeDeadline bounds a frame write started now at half the lease. A
-// connection's reader may write to a peer's session (the one-leaf
-// release), and a writer blocked on a peer that never reads holds that
-// session's write lock until its deadline, so half a lease keeps the
-// reader's stall — and the heartbeats queued behind it — inside the
-// lease of the client it serves.
+// writeDeadline bounds a frame write started now at half the lease, so a
+// peer that never reads holds a writer, and its session's write lock,
+// for half a lease at most.
 func (s *Server) writeDeadline() time.Time {
 	return s.opts.Now().Add(s.opts.Lease / 2)
 }
@@ -467,7 +479,9 @@ func (s *Server) unbind(sess *session) {
 // handleRegister is the arrival path: a lock-free registry resolve (or a
 // per-shard-serialized create on first sight of the name), then all
 // state decisions under the barrier's own lock, and every frame write
-// after unlock. An early arrival is answered with its sleep directive.
+// after unlock. An early arrival is answered with its sleep directive,
+// whose write lock is taken before the barrier lock goes, so the epoch's
+// release always reaches that connection after it.
 // The arrival that completes the epoch predicts nothing and sleeps in no
 // tier, as the paper's last arriver, whose flag-flip write is the
 // release (§3.3.1): its answer is the release frame, which the client
@@ -512,11 +526,9 @@ func (s *Server) handleRegister(sess *session, f Register) {
 		if rec.epoch == bs.epoch {
 			a := bs.byClient[f.ClientID]
 			a.sess = sess
-			payload := a.directive
-			bs.mu.Unlock()
 			s.dupRegistrations.Add(1)
+			sess.sendUnlocking(&bs.mu, a.directive)
 			sess.track(f.Barrier, f.ClientID)
-			sess.send(payload)
 			return
 		}
 		if payload, ok := bs.history[rec.epoch]; ok {
@@ -555,11 +567,8 @@ func (s *Server) handleRegister(sess *session, f Register) {
 	}
 	dir := s.directiveFor(bs, f.ClientID, f.Nonce, now)
 	a.directive = dir.Encode()
-	payload := a.directive
-	bs.mu.Unlock()
-
+	sess.sendUnlocking(&bs.mu, a.directive)
 	sess.track(f.Barrier, f.ClientID)
-	sess.send(payload)
 }
 
 // directiveFor runs the §3.2→Table 3 pipeline for one waiter: predict
@@ -714,21 +723,33 @@ func (s *Server) recordHistory(bs *barrierState, payload []byte) {
 	}
 }
 
-// release transmits a completed epoch's frames. When they fit in one
-// leaf, the releasing connection writes them itself, in registration
-// order, so every peer's frame leaves before the releaser's own and no
-// goroutine hand-off sits between the release and the wire. The writes
-// share one deadline half a lease out, so a peer that never reads holds
-// this connection's reader for about half a lease at most, well inside
-// the lease. Wider epochs fan out one goroutine per leaf.
+// release transmits a completed epoch's frames, grouped in registration
+// order into leaves of FanoutRadix. Every leaf but the last goes to
+// fanOut; the last, which ends with the releasing arrival, is written by
+// the releasing connection itself, its own frame last. An epoch that fits
+// in one leaf thus reaches the wire with no goroutine hand-off.
 func (s *Server) release(sends []send) {
-	if len(sends) > s.opts.FanoutRadix {
-		s.fanOut(sends)
-		return
-	}
-	deadline := s.writeDeadline()
-	for _, snd := range sends {
-		snd.sess.sendBy(snd.payload, deadline)
+	last := (len(sends) - 1) / s.opts.FanoutRadix * s.opts.FanoutRadix
+	s.fanOut(sends[:last])
+	s.writeInline(sends[last:])
+}
+
+// writeInline writes frames in order on the calling connection's reader.
+// Each write gets its own deadline a quarter lease out, and none starts
+// once a quarter lease has passed: the frames left then go to fanOut. A
+// peer that never reads thus holds the reader for under half a lease, so
+// the heartbeats queued behind it still land inside its client's lease,
+// and every frame after that peer's still gets a deadline of its own.
+func (s *Server) writeInline(sends []send) {
+	quarter := s.opts.Lease / 4
+	stop := s.opts.Now().Add(quarter)
+	for i, snd := range sends {
+		now := s.opts.Now()
+		if !now.Before(stop) {
+			s.fanOut(sends[i:])
+			return
+		}
+		snd.sess.sendBy(snd.payload, now.Add(quarter))
 	}
 }
 

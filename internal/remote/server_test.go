@@ -8,6 +8,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -675,15 +676,33 @@ func TestReleaserGetsOnlyItsRelease(t *testing.T) {
 
 // A peer that never reads its end of the connection stalls the
 // releasing connection's reader, which writes that peer's release
-// inline, for about half a lease at most: the other peers in its leaf still
-// get their release, other barriers keep releasing meanwhile, and the
+// inline, for under half a lease: the frames written after the wedged
+// peer's still reach its leaf-mate and the releaser on their original
+// connections, other barriers keep releasing meanwhile, and the
 // releasing client keeps the lease on a barrier it is still waiting on.
 func TestWedgedPeerStallsReleaserUnderLease(t *testing.T) {
 	const lease = 600 * time.Millisecond
 	srv, l := startServer(t, remote.Options{Lease: lease, StallFloor: time.Hour})
 	opts := client.Options{Lease: lease}
-	rel := newClient(t, l, "releaser", opts)
-	peer := newClient(t, l, "peer", opts)
+	// dialled counts a client's connections, so the test can tell a
+	// release that came on the original connection from a recovered one.
+	dialled := func(id string, n *atomic.Int32) *client.Client {
+		o := opts
+		o.ClientID = id
+		o.Dial = func(ctx context.Context) (net.Conn, error) {
+			n.Add(1)
+			return l.Dial(ctx)
+		}
+		c, err := client.New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
+	}
+	var relDials, peerDials atomic.Int32
+	rel := dialled("releaser", &relDials)
+	peer := dialled("peer", &peerDials)
 
 	// The releaser first waits on "z", whose second party comes last.
 	zDone := make(chan error, 1)
@@ -745,6 +764,14 @@ func TestWedgedPeerStallsReleaserUnderLease(t *testing.T) {
 	if _, err := rel.Status(context.Background()); err != nil {
 		t.Fatalf("the releaser's connection did not resume: %v", err)
 	}
+	// Neither the leaf-mate nor the releaser got its release by
+	// reconnecting: each still runs on the one connection it dialled. (The
+	// server's DupRegistrations and Replays do move: the leaf-mate's
+	// refresh and the releaser's retransmits, queued behind the stalled
+	// reader, are answered on those same connections.)
+	if r, p := relDials.Load(), peerDials.Load(); r != 1 || p != 1 {
+		t.Fatalf("the releaser dialled %d times and the peer %d, want each its one original connection", r, p)
+	}
 
 	last := newClient(t, l, "last", opts)
 	if err := last.Wait(context.Background(), "z", 2); err != nil {
@@ -755,5 +782,42 @@ func TestWedgedPeerStallsReleaserUnderLease(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Breaks != 0 || st.LeaseBreaks != 0 {
 		t.Fatalf("stats %+v: a lease broke", st)
+	}
+}
+
+// An epoch wider than one leaf still reaches every waiter: the leaves
+// before the last go to writer goroutines, and the releasing connection
+// writes the last leaf, which ends with its own release. With a radix of
+// 2, five parties make the last leaf the releaser alone and six make it a
+// peer and the releaser.
+func TestWideEpochReleasesEveryLeaf(t *testing.T) {
+	for _, parties := range []int{5, 6} {
+		srv, l := startServer(t, remote.Options{Lease: 5 * time.Second, FanoutRadix: 2})
+		barrier := fmt.Sprintf("b%d", parties)
+		drains := make([]<-chan []byte, parties)
+		for i := range drains {
+			conn, err := l.Dial(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { conn.Close() })
+			conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+			reg := remote.Register{ClientID: fmt.Sprintf("p%d", i), Barrier: barrier,
+				Parties: uint32(parties), Nonce: 1}
+			if err := remote.WriteFrame(conn, reg.Encode()); err != nil {
+				t.Fatal(err)
+			}
+			drains[i] = drainUntilRelease(conn, nil)
+			if i < parties-1 {
+				awaitArrived(t, srv, barrier, uint32(i+1))
+			}
+		}
+		for i, ch := range drains[:parties-1] {
+			expectFrames(t, fmt.Sprintf("%d parties, p%d", parties, i), <-ch, remote.FrameDirective, remote.FrameRelease)
+		}
+		expectFrames(t, fmt.Sprintf("%d parties, the releaser", parties), <-drains[parties-1], remote.FrameRelease)
+		if st := srv.Stats(); st.Releases != 1 || st.Breaks != 0 {
+			t.Fatalf("%d parties: stats %+v", parties, st)
+		}
 	}
 }
